@@ -29,8 +29,11 @@ main()
         SystemConfig cfg = scaledForSim(SystemConfig::idyllFull());
         cfg.irmb.bases = bases;
         cfg.irmb.offsetsPerBase = offsets;
-        const std::string label = "(" + std::to_string(bases) + "," +
-                                  std::to_string(offsets) + ")";
+        std::string label = "(";
+        label += std::to_string(bases);
+        label += ",";
+        label += std::to_string(offsets);
+        label += ")";
         schemes.push_back({label, cfg});
         cols.push_back(label);
     }

@@ -127,6 +127,45 @@ BM_TlbProbe(benchmark::State &state)
 }
 BENCHMARK(BM_TlbProbe);
 
+/**
+ * One GPU's shootdown at 64 CUs with full L1s. CU c holds pages
+ * 8c .. 8c+31 of a 512-page pool, so each pool page sits in 4 L1s.
+ * Arg 0 shoots down pages outside the pool (no L1 holds them); arg 1
+ * shoots down a pool page and refills its 4 holders, so the L1s stay
+ * full and the refill's cost is included.
+ */
+void
+BM_TlbHierarchyShootdown(benchmark::State &state)
+{
+    SystemConfig cfg;
+    cfg.cusPerGpu = 64;
+    TlbHierarchy tlbs(cfg);
+    constexpr std::uint32_t kPool = 512;
+    for (std::uint32_t cu = 0; cu < cfg.cusPerGpu; ++cu)
+        for (std::uint32_t i = 0; i < cfg.l1Tlb.entries; ++i) {
+            const Vpn vpn = (cu * 8 + i) % kPool;
+            tlbs.fill(cu, vpn, TlbEntry{static_cast<Pfn>(vpn), true});
+        }
+    const bool held = state.range(0) != 0;
+    Rng rng(19);
+    for (auto _ : state) {
+        if (!held) {
+            benchmark::DoNotOptimize(
+                tlbs.shootdown(kPool + rng.below(1 << 20)));
+            continue;
+        }
+        const Vpn vpn = rng.below(kPool);
+        benchmark::DoNotOptimize(tlbs.shootdown(vpn));
+        for (std::uint32_t k = 0; k < 4; ++k) {
+            const std::uint32_t cu = (vpn / 8 + cfg.cusPerGpu - k) %
+                                     cfg.cusPerGpu;
+            tlbs.fill(cu, vpn, TlbEntry{static_cast<Pfn>(vpn), true});
+        }
+    }
+    state.SetLabel(held ? "held+refill" : "unheld");
+}
+BENCHMARK(BM_TlbHierarchyShootdown)->Arg(0)->Arg(1);
+
 void
 BM_PageTableWalk(benchmark::State &state)
 {

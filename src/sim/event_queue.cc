@@ -9,9 +9,6 @@
 namespace idyll
 {
 
-thread_local EventQueue *EventQueue::tlsCurrent = nullptr;
-thread_local std::uint32_t EventQueue::tlsShardId = 0;
-
 namespace
 {
 

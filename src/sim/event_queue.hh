@@ -784,8 +784,11 @@ class EventQueue
     void checkNonNull(bool nonNull) const;
     [[noreturn]] void watchdogTrip();
 
-    static thread_local EventQueue *tlsCurrent;
-    static thread_local std::uint32_t tlsShardId;
+    // Inline with constant initializers: other translation units then
+    // read them directly instead of through GCC's TLS init wrapper,
+    // which UBSan flags as a null load at -O2.
+    static inline thread_local EventQueue *tlsCurrent = nullptr;
+    static inline thread_local std::uint32_t tlsShardId = 0;
 
     std::vector<std::unique_ptr<Node[]>> _slabs;
     Node *_freeList = nullptr;

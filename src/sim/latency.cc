@@ -126,9 +126,9 @@ LogHistogram::toJson() const
 // --- LatencyScoreboard -----------------------------------------------
 
 LatencyScoreboard::LatencyScoreboard(std::uint32_t numGpus)
-    : _numGpus(numGpus), _agg(numGpus),
-      _lanes(static_cast<std::size_t>(numGpus) + 1),
-      _laneCursor(static_cast<std::size_t>(numGpus) + 1, 0)
+    : _numGpus(numGpus), _lanes(static_cast<std::size_t>(numGpus) + 1),
+      _laneCursor(static_cast<std::size_t>(numGpus) + 1, 0),
+      _agg(numGpus)
 {
     _onViolation = [](const std::string &msg) {
         panic("latency scoreboard: ", msg);

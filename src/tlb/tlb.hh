@@ -194,7 +194,20 @@ struct TlbProbeResult
     Cycles latency = 0; ///< cycles consumed by the probe(s)
 };
 
-/** Per-GPU TLB hierarchy. */
+/**
+ * Per-GPU TLB hierarchy.
+ *
+ * Shootdowns visit only the CUs whose L1 may hold the page. A fixed
+ * table of hash buckets (nextPow2(CUs x L1 entries) of them) keeps, per
+ * bucket, a mask of ceil(CUs/64) words. The mask is a superset of the
+ * CUs whose L1 holds some VPN of that bucket: every L1 insert sets its
+ * CU's bit, evictions leave the bit stale, and shootdown() clears a
+ * bit once it finds that CU's L1 holds no other VPN of the bucket.
+ *
+ * Invariant: every L1 insert goes through this class (probe() refill
+ * or fill()). l1(cu) is for probing and inspection only; filling an L1
+ * through it would hide the entry from shootdown().
+ */
 class TlbHierarchy
 {
   public:
@@ -210,18 +223,24 @@ class TlbHierarchy
     void fill(std::uint32_t cu, Vpn vpn, TlbEntry entry);
 
     /**
-     * Shoot down one VPN across the L2 and every L1.
+     * Shoot down one VPN in the L2 and in every L1 that may hold it.
      * @return number of TLB entries invalidated.
      */
     std::uint32_t shootdown(Vpn vpn);
 
     /** Drop every cached translation (hot-unplug teardown). */
-    void
-    flushAll()
+    void flushAll();
+
+    /**
+     * Whether shootdown(vpn) would visit CU @p cu's L1: true whenever
+     * that L1 holds @p vpn, and possibly (stale bit, shared bucket)
+     * when it does not.
+     */
+    bool
+    mayHold(std::uint32_t cu, Vpn vpn) const
     {
-        _l2.flushAll();
-        for (Tlb &l1 : _l1s)
-            l1.flushAll();
+        return (_holders[bucketOf(vpn) * _maskWords + cu / 64] >>
+                (cu % 64)) & 1;
     }
 
     Tlb &l2() { return _l2; }
@@ -246,8 +265,24 @@ class TlbHierarchy
     }
 
   private:
+    /** Fill CU @p cu's L1, trace its victims and flag the CU. */
+    void fillL1(std::uint32_t cu, Vpn vpn, const TlbEntry &entry);
+
+    /** Holder-filter bucket of @p vpn (Fibonacci hashing). */
+    std::size_t
+    bucketOf(Vpn vpn) const
+    {
+        return static_cast<std::size_t>(
+            ((static_cast<std::uint64_t>(vpn) * 0x9e3779b97f4a7c15ULL) >>
+             32) & _bucketMask);
+    }
+
     std::vector<Tlb> _l1s;
     Tlb _l2;
+    /** Holder masks: bucket b's words are [b * _maskWords, +_maskWords). */
+    std::vector<std::uint64_t> _holders;
+    std::size_t _maskWords;
+    std::uint64_t _bucketMask;
     /** Fill-eviction scratch, reused across calls (hot path). */
     std::vector<Vpn> _evictScratch;
     Tracer *_tracer = nullptr;

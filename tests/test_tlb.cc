@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 #include "sim/trace.hh"
 #include "tlb/tlb.hh"
 
@@ -270,6 +276,253 @@ TEST(DeadEvictTlb, DisabledByDefault)
     for (Vpn v = 0; v < 64; ++v)
         tlb.fill(v, TlbEntry{static_cast<Pfn>(v), true});
     EXPECT_EQ(tlb.deadInsertions(), 0u);
+}
+
+// --- shootdown holder filter ------------------------------------------
+
+/**
+ * Oracle: the hierarchy without a holder filter. Same probe/fill
+ * sequence as TlbHierarchy, but shootdown() erases from every L1.
+ */
+class ScanAllHierarchy
+{
+  public:
+    explicit ScanAllHierarchy(const SystemConfig &cfg) : _l2(cfg.l2Tlb)
+    {
+        for (std::uint32_t cu = 0; cu < cfg.cusPerGpu; ++cu)
+            _l1s.emplace_back(cfg.l1Tlb);
+    }
+
+    TlbProbeResult
+    probe(std::uint32_t cu, Vpn vpn)
+    {
+        Tlb &l1 = _l1s[cu];
+        if (auto e = l1.probe(vpn))
+            return TlbProbeResult{true, *e, l1.latency()};
+        const Cycles toL2 = l1.latency() + _l2.latency();
+        if (auto e = _l2.probe(vpn)) {
+            l1.fill(vpn, *e);
+            return TlbProbeResult{true, *e, toL2};
+        }
+        return TlbProbeResult{false, {}, toL2};
+    }
+
+    void
+    fill(std::uint32_t cu, Vpn vpn, TlbEntry entry)
+    {
+        _l2.fill(vpn, entry);
+        _l1s[cu].fill(vpn, entry);
+    }
+
+    std::uint32_t
+    shootdown(Vpn vpn)
+    {
+        std::uint32_t removed = _l2.shootdown(vpn) ? 1 : 0;
+        for (Tlb &l1 : _l1s)
+            removed += l1.shootdown(vpn) ? 1 : 0;
+        return removed;
+    }
+
+    void
+    flushAll()
+    {
+        _l2.flushAll();
+        for (Tlb &l1 : _l1s)
+            l1.flushAll();
+    }
+
+    const Tlb &l1(std::uint32_t cu) const { return _l1s[cu]; }
+    const Tlb &l2() const { return _l2; }
+
+  private:
+    std::vector<Tlb> _l1s;
+    Tlb _l2;
+};
+
+/** (vpn, pfn, writable) in storage order, so LRU layout is compared. */
+std::vector<std::tuple<Vpn, Pfn, bool>>
+contentsOf(const Tlb &tlb)
+{
+    std::vector<std::tuple<Vpn, Pfn, bool>> out;
+    tlb.forEachEntry([&](Vpn vpn, const TlbEntry &e) {
+        out.emplace_back(vpn, e.pfn, e.writable);
+    });
+    return out;
+}
+
+/**
+ * @p n pages from @p first on that share (or, with shared = false, do
+ * not share) @p anchor's holder bucket: filling only the anchor flags
+ * exactly the anchor's bucket.
+ */
+std::vector<Vpn>
+pagesByBucket(const SystemConfig &cfg, Vpn anchor, Vpn first,
+              std::size_t n, bool shared)
+{
+    TlbHierarchy lone(cfg);
+    lone.fill(0, anchor, TlbEntry{0, true});
+    std::vector<Vpn> out;
+    for (Vpn q = first; out.size() < n; ++q)
+        if (q != anchor && lone.mayHold(0, q) == shared)
+            out.push_back(q);
+    return out;
+}
+
+enum class L2Kind { Plain, SubEntry, DeadEvict };
+
+using FilterParam = std::tuple<std::uint32_t, L2Kind>;
+
+class HolderFilterDifferential
+    : public ::testing::TestWithParam<FilterParam>
+{};
+
+TEST_P(HolderFilterDifferential, MatchesScanAllOracle)
+{
+    const auto [cus, kind] = GetParam();
+    SystemConfig cfg;
+    cfg.cusPerGpu = cus;
+    if (kind == L2Kind::SubEntry)
+        cfg.l2Tlb.subEntries = 4;
+    if (kind == L2Kind::DeadEvict)
+        cfg.l2Tlb.deadEntryEviction = true;
+    TlbHierarchy h(cfg);
+    ScanAllHierarchy ref(cfg);
+
+    // Three page pools: 64 contiguous hot pages (L2 hits, sub-entry
+    // coalescing), 64 pages in four shared buckets (a shootdown must
+    // keep the bit of a CU that holds a bucket mate), and a wide pool
+    // that misses. Most ops go to four busy CUs, so their L1s evict
+    // and leave stale bits. A PFN shift now and then breaks sub-entry
+    // contiguity.
+    std::vector<Vpn> mates;
+    for (Vpn anchor : {0x1000, 0x2000, 0x3000, 0x4000}) {
+        mates.push_back(anchor);
+        for (Vpn mate : pagesByBucket(cfg, anchor, anchor + 1, 15, true))
+            mates.push_back(mate);
+    }
+    const std::uint32_t busy = std::min(cus, 4u);
+    Rng rng(0x5eed0000u + cus * 3 + static_cast<unsigned>(kind));
+    Pfn pfnShift = 0;
+    for (int op = 0; op < 6000; ++op) {
+        const auto cu = static_cast<std::uint32_t>(
+            rng.below(4) != 0 ? rng.below(busy) : rng.below(cus));
+        Vpn vpn = 0;
+        switch (rng.below(3)) {
+          case 0: vpn = 0x1000 + rng.below(64); break;
+          case 1: vpn = mates[rng.below(mates.size())]; break;
+          default: vpn = 0x100000 + rng.below(4096); break;
+        }
+        const std::uint64_t pick = rng.below(1000);
+        if (pick < 2) {
+            h.flushAll();
+            ref.flushAll();
+        } else if (pick < 450) {
+            const TlbProbeResult a = h.probe(cu, vpn);
+            const TlbProbeResult b = ref.probe(cu, vpn);
+            ASSERT_EQ(a.hit, b.hit) << "op " << op;
+            ASSERT_EQ(a.latency, b.latency) << "op " << op;
+            ASSERT_EQ(a.entry.pfn, b.entry.pfn) << "op " << op;
+        } else if (pick < 750) {
+            if (rng.below(300) == 0)
+                pfnShift += 7;
+            const TlbEntry e{vpn + 0x40000 + pfnShift, (vpn & 1) == 0};
+            h.fill(cu, vpn, e);
+            ref.fill(cu, vpn, e);
+        } else {
+            ASSERT_EQ(h.shootdown(vpn), ref.shootdown(vpn)) << "op " << op;
+        }
+
+        ASSERT_EQ(contentsOf(h.l2()), contentsOf(ref.l2())) << "op " << op;
+        for (std::uint32_t c = 0; c < cus; ++c) {
+            const auto held = contentsOf(h.l1(c));
+            ASSERT_EQ(held, contentsOf(ref.l1(c)))
+                << "op " << op << " cu " << c;
+            for (const auto &entry : held)
+                ASSERT_TRUE(h.mayHold(c, std::get<0>(entry)))
+                    << "op " << op << " cu " << c;
+        }
+    }
+}
+
+std::string
+filterParamName(const ::testing::TestParamInfo<FilterParam> &info)
+{
+    static const char *const kKinds[] = {"plain", "sub", "dead"};
+    return std::to_string(std::get<0>(info.param)) + "cus_" +
+           kKinds[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CusAndL2, HolderFilterDifferential,
+    ::testing::Combine(::testing::Values(1u, 7u, 64u, 65u, 130u),
+                       ::testing::Values(L2Kind::Plain, L2Kind::SubEntry,
+                                         L2Kind::DeadEvict)),
+    filterParamName);
+
+TEST(HolderFilter, StaleBitIsClearedByTheShootdownThatFindsIt)
+{
+    SystemConfig cfg = smallConfig();
+    cfg.l1Tlb = TlbConfig{4, 4, 1};
+    TlbHierarchy h(cfg);
+    ScanAllHierarchy ref(cfg);
+
+    // Fillers outside the victim page's bucket.
+    const Vpn victim = 0x77;
+    const std::vector<Vpn> fillers =
+        pagesByBucket(cfg, victim, 0x1000, 4, false);
+
+    const auto both = [&](auto op) {
+        op(h);
+        op(ref);
+    };
+    both([&](auto &x) { x.fill(1, victim, TlbEntry{9, true}); });
+    for (Vpn f : fillers)
+        both([&](auto &x) { x.fill(1, f, TlbEntry{f, true}); });
+
+    // CU 1's L1 evicted the victim but its bit is still set.
+    EXPECT_FALSE(h.l1(1).probe(victim, false).has_value());
+    EXPECT_TRUE(h.mayHold(1, victim));
+
+    // The shootdown visits CU 1, finds nothing and clears the bit;
+    // only the L2 copy counts.
+    const std::uint32_t removed = h.shootdown(victim);
+    EXPECT_EQ(removed, ref.shootdown(victim));
+    EXPECT_EQ(removed, 1u);
+    EXPECT_FALSE(h.mayHold(1, victim));
+
+    // The next shootdown of the bucket skips CU 1 and stays exact.
+    both([&](auto &x) { x.fill(2, victim, TlbEntry{9, true}); });
+    EXPECT_FALSE(h.mayHold(1, victim));
+    EXPECT_EQ(h.shootdown(victim), ref.shootdown(victim));
+    for (std::uint32_t cu = 0; cu < cfg.cusPerGpu; ++cu)
+        EXPECT_EQ(contentsOf(h.l1(cu)), contentsOf(ref.l1(cu)));
+}
+
+TEST(HolderFilter, BitSurvivesWhileTheCuHoldsAnotherPageOfTheBucket)
+{
+    SystemConfig cfg = smallConfig();
+    TlbHierarchy h(cfg);
+
+    const Vpn first = 0x77;
+    const Vpn twin = pagesByBucket(cfg, first, first + 1, 1, true)[0];
+
+    h.fill(3, first, TlbEntry{1, true});
+    h.fill(3, twin, TlbEntry{2, true});
+    EXPECT_EQ(h.shootdown(first), 2u); // L2 + CU 3's L1
+    EXPECT_TRUE(h.mayHold(3, twin));
+    EXPECT_EQ(h.shootdown(twin), 2u);
+    EXPECT_FALSE(h.mayHold(3, twin));
+}
+
+TEST(HolderFilter, FlushAllClearsEveryBit)
+{
+    TlbHierarchy h(smallConfig());
+    h.fill(0, 5, TlbEntry{1, true});
+    h.fill(3, 9, TlbEntry{1, true});
+    h.flushAll();
+    EXPECT_FALSE(h.mayHold(0, 5));
+    EXPECT_FALSE(h.mayHold(3, 9));
+    EXPECT_EQ(h.shootdown(5), 0u);
 }
 
 } // namespace

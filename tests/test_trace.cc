@@ -3,17 +3,22 @@
  * Tests for the structured event tracer: category parsing, runtime
  * filtering, JSONL well-formedness, digest determinism across the
  * parallel runner, a pinned golden trace for a two-GPU ping-pong
- * migration workload, and the invalidation-subset property that is
+ * migration workload, pinned rows for the per-page paths (unplug,
+ * duplicate rounds, replication, access counters, in-memory directory),
+ * and the invalidation-subset property that is
  * IDYLL's whole point (lightweight invalidation never sends *more*
  * than the baseline broadcast).
  */
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "harness/cli.hh"
 #include "harness/runner.hh"
 #include "harness/system.hh"
 #include "sim/trace.hh"
@@ -312,6 +317,180 @@ TEST(InvalSubsetProperty, IdyllNeverInvalidatesMoreThanBaseline)
     }
     EXPECT_LE(idyll.size(), baseline.size());
 }
+
+// --- per-page paths the perf benchmark does not run ----------------------
+
+/**
+ * One pinned `idyll_sim --trace-digest` run: the canonical trace text
+ * plus the two results the trace does not cover (Figure 4's sharing
+ * buckets, which fold every GPU's access tally into the driver, and
+ * the run's end tick).
+ */
+struct GoldenRow
+{
+    const char *name;
+    std::vector<std::string> args; ///< idyll_sim flags, minus --scale
+    const char *digest;
+    std::vector<std::uint64_t> sharingBuckets;
+    Tick execTicks;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const GoldenRow &row)
+{
+    return os << row.name;
+}
+
+/** The row as C++ source, so a deliberate re-pin is a copy. */
+std::string
+rowSource(const GoldenRow &row, const std::string &digest,
+          const std::vector<std::uint64_t> &buckets, Tick execTicks)
+{
+    std::ostringstream os;
+    os << "    {\"" << row.name << "\",\n     {";
+    for (std::size_t i = 0; i < row.args.size(); ++i)
+        os << (i ? ", " : "") << '"' << row.args[i] << '"';
+    os << "},\n";
+    std::istringstream lines(digest);
+    std::string line;
+    bool first = true;
+    while (std::getline(lines, line)) {
+        os << (first ? "" : "\n") << "     \"" << line << "\\n\"";
+        first = false;
+    }
+    os << ",\n     {";
+    for (std::size_t i = 0; i < buckets.size(); ++i)
+        os << (i ? ", " : "") << buckets[i];
+    os << "},\n     " << execTicks << "},\n";
+    return os.str();
+}
+
+class GoldenTraceRows : public ::testing::TestWithParam<GoldenRow>
+{
+};
+
+TEST_P(GoldenTraceRows, MatchesPin)
+{
+    const GoldenRow &row = GetParam();
+    std::vector<std::string> args = row.args;
+    for (const char *flag : {"--scale", "0.02", "--trace-digest"})
+        args.emplace_back(flag);
+    const CliParse parsed = parseCli(args);
+    ASSERT_TRUE(parsed.ok()) << row.name << ": " << parsed.error;
+    const CliOptions &opts = *parsed.options;
+
+    // Exactly what `idyll_sim ... --trace-digest` runs.
+    MultiGpuSystem system(opts.config);
+    const SimResults r =
+        system.run(Workload::byName(opts.app, opts.scale));
+    ASSERT_NE(system.traceDigest(), nullptr);
+    const std::string digest = system.traceDigest()->canonicalText();
+
+    const bool same = digest == row.digest &&
+                      r.sharingBuckets == row.sharingBuckets &&
+                      r.execTicks == row.execTicks;
+    EXPECT_TRUE(same) << "golden row " << row.name
+                      << " moved; if intended, re-pin it with:\n"
+                      << rowSource(row, digest, r.sharingBuckets,
+                                   r.execTicks);
+}
+
+const std::vector<GoldenRow> kGoldenRows = {
+    // Record reset at unplug and the driver's recovery scans.
+    {"km_idyll_unplug",
+     {"--app", "KM", "--scheme", "idyll", "--gpus", "4", "--unplug", "g1@20000/80000"},
+     "trace-digest v1\n"
+     "tlb count=25057 hash=b137203a63248c84\n"
+     "irmb count=953 hash=eecd333ea956d2c4\n"
+     "dir count=19023 hash=9d99a0d850a01ad9\n"
+     "walk count=25434 hash=f39fe836672549d0\n"
+     "mig count=7381 hash=230d06c0132fca29\n"
+     "inval count=4386 hash=14832f1227feab06\n"
+     "fault count=9249 hash=50d6b89639fc7c40\n"
+     "net count=20836 hash=2939ae575013d262\n"
+     "all count=112319 hash=7f9d64f9a0c9c244\n",
+     {5144, 2758, 3532, 1390},
+     136885},
+    // Duplicate invalidation rounds: the GPU's seen-round dedup.
+    {"km_idyll_oracle_dup",
+     {"--app", "KM", "--scheme", "idyll", "--oracle", "--faults", "inval.dup@0.5"},
+     "trace-digest v1\n"
+     "tlb count=25330 hash=b1c2a309e82e536e\n"
+     "irmb count=855 hash=3ec15a62f9f7cbe9\n"
+     "dir count=10214 hash=ee472615f44483a8\n"
+     "walk count=19281 hash=e788cf6550e6de4d\n"
+     "mig count=909 hash=406745b9b57b0e63\n"
+     "inval count=1943 hash=262d89f3632f8263\n"
+     "fault count=4625 hash=6a1d7f1375b2a8fa\n"
+     "net count=17726 hash=a163fd8085f9c002\n"
+     "all count=80883 hash=2bf85ec29364219a\n",
+     {5130, 2731, 3517, 1422},
+     28715},
+    // Replica frames, collapse order and replica promotion on unplug.
+    {"km_replication_oracle_unplug",
+     {"--app", "KM", "--scheme", "replication", "--oracle", "--unplug", "g2@30000"},
+     "trace-digest v1\n"
+     "tlb count=38647 hash=9c6c617137bca90f\n"
+     "irmb count=0 hash=0000000000000000\n"
+     "dir count=0 hash=0000000000000000\n"
+     "walk count=48618 hash=5cc45ee00e836786\n"
+     "mig count=7421 hash=0b7eee46c6ac14c4\n"
+     "inval count=25422 hash=5622edf6a4335208\n"
+     "fault count=10141 hash=2647a49d269057ef\n"
+     "net count=29807 hash=0189f198c0e2c97e\n"
+     "all count=160056 hash=ba3a6924bdd216d4\n",
+     {5037, 2828, 3316, 1224},
+     209879},
+    {"pr_replication",
+     {"--app", "PR", "--scheme", "replication"},
+     "trace-digest v1\n"
+     "tlb count=29471 hash=71a2a2ff8c80cda7\n"
+     "irmb count=0 hash=0000000000000000\n"
+     "dir count=0 hash=0000000000000000\n"
+     "walk count=35547 hash=4ec3255ca2b6e250\n"
+     "mig count=1962 hash=3d4fd964d4558a85\n"
+     "inval count=8502 hash=35a4c5611f84ef2e\n"
+     "fault count=11552 hash=5c6a9bd2f7dac40a\n"
+     "net count=25223 hash=f58904cff2d63e78\n"
+     "all count=112257 hash=9e6904bbe0ebb02e\n",
+     {3395, 1997, 4312, 3096},
+     81237},
+    // Access-counter migration requests.
+    {"km_baseline",
+     {"--app", "KM", "--scheme", "baseline"},
+     "trace-digest v1\n"
+     "tlb count=26246 hash=7fe725856f11bd7e\n"
+     "irmb count=0 hash=0000000000000000\n"
+     "dir count=0 hash=0000000000000000\n"
+     "walk count=22281 hash=f95c0f14cceb923a\n"
+     "mig count=913 hash=fa3be6f5cba78fcd\n"
+     "inval count=2964 hash=12195fdee857cc01\n"
+     "fault count=4863 hash=947ebae7731043ba\n"
+     "net count=18041 hash=4a2f6adc70f73a86\n"
+     "all count=75308 hash=b0c8438183ed15b4\n",
+     {5130, 2731, 3517, 1422},
+     40653},
+    {"km_inmem",
+     {"--app", "KM", "--scheme", "inmem"},
+     "trace-digest v1\n"
+     "tlb count=25311 hash=78ba7c0bfacde66e\n"
+     "irmb count=860 hash=286a6339226ef469\n"
+     "dir count=0 hash=0000000000000000\n"
+     "walk count=19284 hash=7219395b7a533438\n"
+     "mig count=909 hash=f3e90373d795e23f\n"
+     "inval count=1946 hash=6303db041c77f21a\n"
+     "fault count=4621 hash=4234224b723d819e\n"
+     "net count=17462 hash=6b9eb85092b1177b\n"
+     "all count=70393 hash=9b896405899ea0ff\n",
+     {5130, 2731, 3517, 1422},
+     28422},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    PerPage, GoldenTraceRows, ::testing::ValuesIn(kGoldenRows),
+    [](const ::testing::TestParamInfo<GoldenRow> &info) {
+        return std::string(info.param.name);
+    });
 
 #endif // IDYLL_TRACE_ENABLED
 

@@ -2,15 +2,22 @@
  * @file
  * Micro-benchmarks (google-benchmark) for the core hardware
  * structures: IRMB insert/lookup, TLB probe/fill, page-table walks,
- * MMU-cache probes, and VM-Cache directory accesses. These
+ * MMU-cache probes, VM-Cache directory accesses, and the per-page
+ * record table with the MSHR file built on it. These
  * guard the simulator's own performance (the structures sit on the
  * per-access hot path of every simulation).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <numeric>
+#include <unordered_map>
+#include <vector>
 
+#include "cache/mshr.hh"
+#include "cache/vpn_table.hh"
 #include "core/irmb.hh"
 #include "core/transfw.hh"
 #include "core/vm_directory.hh"
@@ -220,5 +227,87 @@ BM_TransFwPrt(benchmark::State &state)
         benchmark::DoNotOptimize(prt.probe(rng.below(1 << 14)));
 }
 BENCHMARK(BM_TransFwPrt);
+
+/**
+ * Per-page record lookups at the MT footprint (65,536 pages from a
+ * dense base, the shape of every workload's VPN range): a 24-byte
+ * record, like the GPU's PageState, found by VPN in shuffled order.
+ * BM_VpnTableFind uses the open-addressing table the simulator keeps
+ * per-page state in; BM_UnorderedMapFind is the node-based map it
+ * replaced, on the same keys and order.
+ */
+struct BenchRecord
+{
+    std::uint64_t a = 0;
+    std::uint32_t b = 0, c = 0, d = 0, e = 0;
+};
+
+constexpr std::uint64_t kFootprint = 65'536;
+constexpr Vpn kFootprintBase = 0x100000;
+
+std::vector<Vpn>
+shuffledFootprint()
+{
+    std::vector<Vpn> keys(kFootprint);
+    std::iota(keys.begin(), keys.end(), kFootprintBase);
+    Rng rng(29);
+    for (std::size_t i = keys.size() - 1; i > 0; --i)
+        std::swap(keys[i], keys[rng.below(i + 1)]);
+    return keys;
+}
+
+void
+BM_VpnTableFind(benchmark::State &state)
+{
+    VpnTable<BenchRecord> table;
+    for (Vpn vpn = 0; vpn < kFootprint; ++vpn)
+        table[kFootprintBase + vpn].a = vpn;
+    const std::vector<Vpn> keys = shuffledFootprint();
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(table.find(keys[i])->a);
+        i = (i + 1) & (kFootprint - 1);
+    }
+}
+BENCHMARK(BM_VpnTableFind);
+
+void
+BM_UnorderedMapFind(benchmark::State &state)
+{
+    std::unordered_map<Vpn, BenchRecord> table;
+    for (Vpn vpn = 0; vpn < kFootprint; ++vpn)
+        table[kFootprintBase + vpn].a = vpn;
+    const std::vector<Vpn> keys = shuffledFootprint();
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(table.find(keys[i])->second.a);
+        i = (i + 1) & (kFootprint - 1);
+    }
+}
+BENCHMARK(BM_UnorderedMapFind);
+
+/**
+ * A 64-entry MSHR file kept at 63 live misses: each iteration
+ * allocates a new primary, merges one secondary into it, and
+ * releases the oldest entry with its two waiters.
+ */
+void
+BM_MshrAllocateRelease(benchmark::State &state)
+{
+    constexpr std::uint32_t kEntries = 64;
+    MshrFile<int> mshr(kEntries);
+    Vpn next = kFootprintBase;
+    for (; next < kFootprintBase + kEntries - 1; ++next) {
+        mshr.allocate(next, 0);
+        mshr.allocate(next, 1);
+    }
+    for (auto _ : state) {
+        mshr.allocate(next, 0);
+        mshr.allocate(next, 1);
+        benchmark::DoNotOptimize(mshr.release(next - (kEntries - 1)));
+        ++next;
+    }
+}
+BENCHMARK(BM_MshrAllocateRelease);
 
 } // namespace

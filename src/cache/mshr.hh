@@ -2,41 +2,43 @@
  * @file
  * Miss Status Holding Register file.
  *
- * Tracks outstanding misses keyed by (here) virtual page number, so
- * that secondary misses to the same page merge into the primary miss
+ * Tracks outstanding misses keyed by virtual page number, so that
+ * secondary misses to the same page merge into the primary miss
  * instead of issuing duplicate page walks. Payloads are the waiter
- * continuations replayed when the miss resolves.
+ * continuations replayed when the miss resolves. Entries live in a
+ * VpnTable sized once for the file's capacity, so it never grows.
  */
 
 #ifndef IDYLL_CACHE_MSHR_HH
 #define IDYLL_CACHE_MSHR_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "cache/vpn_table.hh"
 #include "sim/logging.hh"
 
 namespace idyll
 {
 
 /**
- * MSHR file mapping Key -> list of waiting payloads.
+ * MSHR file mapping Vpn -> list of waiting payloads.
  *
- * @tparam Key     miss identifier (e.g., Vpn).
  * @tparam Payload continuation captured per waiting request.
  */
-template <typename Key, typename Payload>
+template <typename Payload>
 class MshrFile
 {
   public:
-    explicit MshrFile(std::uint32_t entries) : _entries(entries)
+    explicit MshrFile(std::uint32_t entries)
+        : _entries(entries), _table(entries)
     {
         IDYLL_ASSERT(entries > 0, "MSHR file needs at least one entry");
     }
 
     /** True if a primary miss for @p key is already outstanding. */
-    bool contains(Key key) const { return _table.count(key) != 0; }
+    bool contains(Vpn key) const { return _table.contains(key); }
 
     /** True if no new primary miss can be allocated. */
     bool full() const { return _table.size() >= _entries; }
@@ -51,11 +53,10 @@ class MshrFile
      *         fill), false if it merged.
      */
     bool
-    allocate(Key key, Payload payload)
+    allocate(Vpn key, Payload payload)
     {
-        auto it = _table.find(key);
-        if (it != _table.end()) {
-            it->second.push_back(std::move(payload));
+        if (std::vector<Payload> *waiters = _table.find(key)) {
+            waiters->push_back(std::move(payload));
             return false;
         }
         IDYLL_ASSERT(!full(), "MSHR overflow; caller must check full()");
@@ -68,29 +69,28 @@ class MshrFile
      * (primary first) for replay.
      */
     std::vector<Payload>
-    release(Key key)
+    release(Vpn key)
     {
-        auto it = _table.find(key);
-        IDYLL_ASSERT(it != _table.end(), "releasing unknown MSHR entry");
-        std::vector<Payload> waiters = std::move(it->second);
-        _table.erase(it);
+        std::vector<Payload> *entry = _table.find(key);
+        IDYLL_ASSERT(entry, "releasing unknown MSHR entry");
+        std::vector<Payload> waiters = std::move(*entry);
+        _table.erase(key);
         return waiters;
     }
 
     /** Waiters currently attached to @p key (0 if none). */
     std::size_t
-    waiters(Key key) const
+    waiters(Vpn key) const
     {
-        auto it = _table.find(key);
-        return it == _table.end() ? 0 : it->second.size();
+        const std::vector<Payload> *entry = _table.find(key);
+        return entry ? entry->size() : 0;
     }
 
     /** Inspect the waiters without releasing them. */
     const std::vector<Payload> *
-    peekWaiters(Key key) const
+    peekWaiters(Vpn key) const
     {
-        auto it = _table.find(key);
-        return it == _table.end() ? nullptr : &it->second;
+        return _table.find(key);
     }
 
     /**
@@ -101,7 +101,7 @@ class MshrFile
 
   private:
     std::uint32_t _entries;
-    std::unordered_map<Key, std::vector<Payload>> _table;
+    VpnTable<std::vector<Payload>> _table;
 };
 
 } // namespace idyll

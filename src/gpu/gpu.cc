@@ -62,38 +62,18 @@ Gpu::launch(std::vector<std::unique_ptr<CuStream>> streams, EventFn onDone)
 // Helpers
 // --------------------------------------------------------------------
 
-namespace
-{
-
-/** Epoch of the last invalidation received for a VPN (0 if none). */
-std::uint32_t
-epochOf(const std::unordered_map<Vpn, std::uint32_t> &epochs, Vpn vpn)
-{
-    auto it = epochs.find(vpn);
-    return it == epochs.end() ? 0 : it->second;
-}
-
-} // namespace
-
 bool
 Gpu::hasValidMapping(Vpn vpn) const
 {
     if (_dead)
         return false;
-    if (!_localPt.findValid(vpn))
-        return false;
-    if (_irmb && _irmb->contains(vpn))
-        return false;
-    if (_writebackInFlight.count(vpn))
-        return false;
-    return true;
+    return _localPt.findValid(vpn) && !pendingInvalid(vpn, _pages.find(vpn));
 }
 
 bool
-Gpu::pendingInvalid(Vpn vpn) const
+Gpu::pendingInvalid(Vpn vpn, const PageState *ps) const
 {
-    return (_irmb && _irmb->contains(vpn)) ||
-           _writebackInFlight.count(vpn) != 0;
+    return (_irmb && _irmb->contains(vpn)) || (ps && ps->writebackInFlight);
 }
 
 bool
@@ -121,9 +101,9 @@ Gpu::access(std::uint32_t cu, VAddr va, bool write, EventFn done)
     const Vpn vpn = _layout.vpnOf(va);
     IDYLL_ASSERT(_driver, "GPU not connected to a driver");
     // Tallied locally; the harness replays totals into the driver at
-    // quiesce (recordAccessBulk) — a per-access driver call would be
-    // a cross-shard access on the hottest path in the model.
-    ++_accessTally[vpn];
+    // quiesce (recordAccesses) — a per-access driver call would be a
+    // cross-shard access on the hottest path in the model.
+    ++_pages[vpn].accesses;
 
     TlbProbeResult probe = _tlbs.probe(cu, vpn);
     if (probe.hit) {
@@ -202,7 +182,8 @@ Gpu::handleL2Miss(std::uint32_t cu, Vpn vpn, Waiter waiter,
         raiseFarFault(vpn, wants_write, /*skipPrt=*/false);
         return;
     }
-    if (_writebackInFlight.count(vpn)) {
+    const PageState *ps = _pages.find(vpn);
+    if (ps && ps->writebackInFlight) {
         _stats.irmbBypassedWalks.inc();
         raiseFarFault(vpn, wants_write, /*skipPrt=*/false);
         return;
@@ -211,7 +192,7 @@ Gpu::handleL2Miss(std::uint32_t cu, Vpn vpn, Waiter waiter,
     WalkRequest req;
     req.kind = WalkKind::Demand;
     req.vpn = vpn;
-    const std::uint32_t epoch = epochOf(_invalEpochs, vpn);
+    const std::uint32_t epoch = ps ? ps->invalEpoch : 0;
     req.done = [this, vpn, epoch](const WalkResult &result) {
         onDemandWalkDone(vpn, epoch, result);
     };
@@ -239,8 +220,9 @@ Gpu::onDemandWalkDone(Vpn vpn, std::uint32_t epoch,
     // executed yet: the PTE still reads as the pre-invalidation
     // mapping, but serving it would be stale.
     const Pte *pte = _localPt.findValid(vpn);
-    if (pte && !pendingInvalid(vpn) &&
-        epochOf(_invalEpochs, vpn) == epoch) {
+    const PageState *ps = _pages.find(vpn);
+    if (pte && !pendingInvalid(vpn, ps) &&
+        (ps ? ps->invalEpoch : 0) == epoch) {
         completeTranslation(vpn, pte->pfn(), pte->writable(),
                             /*requireFresh=*/true);
         return;
@@ -291,8 +273,9 @@ Gpu::completeTranslation(Vpn vpn, Pfn pfn, bool writable,
     if (!_mshr.contains(vpn))
         return; // already resolved by a racing path
 
+    const PageState *ps = _pages.find(vpn);
     if (requireFresh &&
-        (pendingInvalid(vpn) || !_localPt.findValid(vpn))) {
+        (pendingInvalid(vpn, ps) || !_localPt.findValid(vpn))) {
         // Superseded while we were completing: fault again.
         raiseFarFault(vpn, mshrWantsWrite(vpn), /*skipPrt=*/true);
         return;
@@ -301,7 +284,7 @@ Gpu::completeTranslation(Vpn vpn, Pfn pfn, bool writable,
     // the walker already wrote the (fresh) PTE at dispatch but the
     // done-callback that updates the oracle's shadow state has not
     // fired yet, so the shadow model lags the physical PTE.
-    if (requireFresh && _oracle && !_installsInFlight.count(vpn))
+    if (requireFresh && _oracle && !(ps && ps->installsInFlight))
         _oracle->onServeFromLocalPte(_id, vpn, pfn, /*write=*/false);
 
     std::vector<Waiter> waiters = _mshr.release(vpn);
@@ -418,10 +401,10 @@ Gpu::dataAccess(std::uint32_t cu, Vpn vpn, Pfn pfn, bool write,
     // the GPU asks the driver to migrate the page (Section 3.3).
     if (_cfg.migrationPolicy == MigrationPolicy::AccessCounter &&
         !_cfg.pageReplication) {
-        std::uint32_t &counter = _accessCounters[vpn];
-        if (++counter >= _cfg.accessCounterThreshold &&
-            !_migrationRequested.count(vpn)) {
-            _migrationRequested.insert(vpn);
+        PageState &ps = _pages[vpn];
+        if (++ps.accessCounter >= _cfg.accessCounterThreshold &&
+            !ps.migrationRequested) {
+            ps.migrationRequested = true;
             _stats.migRequestsSent.inc();
             _net.send(_id, kHostId, 32, MsgClass::MigrationReq,
                       [driver = _driver, vpn, self = _id] {
@@ -485,7 +468,11 @@ Gpu::receiveInvalidation(Vpn vpn, std::uint32_t round)
     // Necessity is judged at receipt: did this GPU logically hold a
     // servable mapping when the invalidation landed? The verdict rides
     // on the ack so the driver never probes the GPU synchronously.
-    const bool wasValid = hasValidMapping(vpn);
+    // The record is only used before the apply below: the IRMB
+    // batch it may submit inserts into _pages.
+    PageState &ps = _pages[vpn];
+    const bool wasValid =
+        _localPt.findValid(vpn) && !pendingInvalid(vpn, &ps);
     if (round != 0) {
         // Round-numbered delivery: a duplicate (injected or retried
         // after the ack raced the timeout) must be a pure no-op beyond
@@ -493,20 +480,20 @@ Gpu::receiveInvalidation(Vpn vpn, std::uint32_t round)
         // re-ack carries the verdict remembered from the first
         // delivery — by now the mapping is gone, so re-probing would
         // misclassify.
-        auto seen = _seenInvalRounds.find(vpn);
-        if (seen != _seenInvalRounds.end() &&
-            round <= seen->second.round) {
+        if (round <= ps.seenRound) {
             _stats.dupInvalsIgnored.inc();
             // Only re-ack an invalidation that has actually been
             // applied. If the first delivery's walk is still queued
             // (walk-queue backpressure), stay silent: the pending walk
             // acks on completion, and the driver's retry timer covers
             // the case where that ack is lost afterwards.
-            if (seen->second.applied)
-                sendInvalAck(vpn, round, seen->second.wasValid);
+            if (ps.seenApplied)
+                sendInvalAck(vpn, round, ps.seenWasValid);
             return;
         }
-        _seenInvalRounds[vpn] = SeenRound{round, wasValid};
+        ps.seenRound = round;
+        ps.seenWasValid = wasValid;
+        ps.seenApplied = false;
     }
 
     _stats.invalsReceived.inc();
@@ -516,14 +503,14 @@ Gpu::receiveInvalidation(Vpn vpn, std::uint32_t round)
                               _eq.now()));
     if (wasValid)
         _stats.invalsNecessary.inc();
-    ++_invalEpochs[vpn];
+    ++ps.invalEpoch;
+    ps.accessCounter = 0;
+    ps.migrationRequested = false;
     if (_oracle)
         _oracle->recordEvent(ProtoEvent::InvalRecv, _id, vpn, round);
 
     // TLB shootdown is immediate in both the baseline and IDYLL.
     _stats.tlbShootdownHits.inc(_tlbs.shootdown(vpn));
-    _accessCounters.erase(vpn);
-    _migrationRequested.erase(vpn);
 
     const Tick receipt = _eq.now();
     switch (_cfg.invalApply) {
@@ -599,7 +586,7 @@ Gpu::applyInstantInvalidation(Vpn vpn)
 {
     if (_dead)
         return;
-    ++_invalEpochs[vpn];
+    ++_pages[vpn].invalEpoch;
     _tlbs.shootdown(vpn);
     if (_localPt.invalidate(vpn))
         noteMappingDropped(vpn);
@@ -615,9 +602,8 @@ Gpu::markInvalApplied(Vpn vpn, std::uint32_t round)
 {
     if (round == 0)
         return; // legacy un-rounded delivery: no dedup state to update
-    auto seen = _seenInvalRounds.find(vpn);
-    if (seen != _seenInvalRounds.end() && seen->second.round == round)
-        seen->second.applied = true;
+    if (PageState *ps = _pages.find(vpn); ps && ps->seenRound == round)
+        ps->seenApplied = true;
 }
 
 void
@@ -644,7 +630,7 @@ Gpu::submitIrmbBatch(Irmb::Batch batch)
         return;
     }
     for (Vpn vpn : batch)
-        _writebackInFlight.insert(vpn);
+        _pages[vpn].writebackInFlight = true;
     const Tick submitted = _eq.now();
     WalkRequest req;
     req.kind = WalkKind::BatchInvalidate;
@@ -657,7 +643,7 @@ Gpu::submitIrmbBatch(Irmb::Batch batch)
             static_cast<double>(_eq.now() - submitted) /
             static_cast<double>(batch.size());
         for (Vpn vpn : batch) {
-            _writebackInFlight.erase(vpn);
+            _pages[vpn].writebackInFlight = false;
             _tlbs.shootdown(vpn); // close the fill race
             noteMappingDropped(vpn);
             if (_oracle) {
@@ -677,7 +663,7 @@ Gpu::submitIrmbBatch(Irmb::Batch batch)
 void
 Gpu::submitSingleWriteback(Vpn vpn)
 {
-    _writebackInFlight.insert(vpn);
+    _pages[vpn].writebackInFlight = true;
     const Tick submitted = _eq.now();
     WalkRequest req;
     req.kind = WalkKind::Invalidate;
@@ -685,7 +671,7 @@ Gpu::submitSingleWriteback(Vpn vpn)
     req.done = [this, vpn, submitted](const WalkResult &) {
         if (_dead)
             return;
-        _writebackInFlight.erase(vpn);
+        _pages[vpn].writebackInFlight = false;
         _tlbs.shootdown(vpn);
         noteMappingDropped(vpn);
         if (_oracle) {
@@ -708,8 +694,9 @@ Gpu::receiveNewMapping(Vpn vpn, Pfn pfn, bool writable)
 {
     if (_dead)
         return; // delivery raced the unplug
-    _accessCounters.erase(vpn);
-    _migrationRequested.erase(vpn);
+    PageState &ps = _pages[vpn];
+    ps.accessCounter = 0;
+    ps.migrationRequested = false;
     if (_irmb && _irmb->removeForNewMapping(vpn)) {
         // The buffered invalidation is elided: the new mapping's
         // update walk supersedes the deferred PTE write-back.
@@ -722,8 +709,11 @@ Gpu::receiveNewMapping(Vpn vpn, Pfn pfn, bool writable)
 void
 Gpu::installMapping(Vpn vpn, Pfn pfn, bool writable)
 {
-    const std::uint32_t epoch = epochOf(_invalEpochs, vpn);
-    ++_installsInFlight[vpn];
+    PageState &ps = _pages[vpn];
+    IDYLL_ASSERT(ps.installsInFlight < UINT16_MAX,
+                 "too many installs in flight for vpn ", vpn);
+    ++ps.installsInFlight;
+    const std::uint32_t epoch = ps.invalEpoch;
     WalkRequest req;
     req.kind = WalkKind::Update;
     req.vpn = vpn;
@@ -740,11 +730,12 @@ Gpu::installMapping(Vpn vpn, Pfn pfn, bool writable)
                                   LatencyPhase::LocalWalk,
                                   _eq.now() - result.walkCycles));
         (void)result;
-        auto inflight = _installsInFlight.find(vpn);
-        if (inflight != _installsInFlight.end() &&
-            --inflight->second == 0)
-            _installsInFlight.erase(inflight);
-        if (epochOf(_invalEpochs, vpn) != epoch) {
+        // Records are never erased, so this finds the install's own;
+        // the count is 0 if an unplug reset it meanwhile.
+        PageState &ps = _pages[vpn];
+        if (ps.installsInFlight > 0)
+            --ps.installsInFlight;
+        if (ps.invalEpoch != epoch) {
             // Superseded while queued: the page moved on again. The
             // driver resolved the waiting accesses' fault BEFORE the
             // new invalidation, so they still retire with this
@@ -789,7 +780,7 @@ Gpu::serveTransFwProbe(Vpn vpn, GpuId requester)
                          return;
                      std::optional<ForwardedMapping> mapping;
                      const Pte *pte = _localPt.findValid(vpn);
-                     if (pte && !pendingInvalid(vpn)) {
+                     if (pte && !pendingInvalid(vpn, _pages.find(vpn))) {
                          mapping =
                              ForwardedMapping{pte->pfn(), pte->writable()};
                      }
@@ -894,12 +885,13 @@ Gpu::unplug()
 
     if (_irmb)
         _irmb->scrubAll();
-    _accessCounters.clear();
-    _migrationRequested.clear();
-    _writebackInFlight.clear();
-    _invalEpochs.clear();
-    _seenInvalRounds.clear();
-    _installsInFlight.clear();
+    // Every per-page field dies with the device except the access
+    // tally, which the harness still replays at quiesce.
+    _pages.forEach([](Vpn, PageState &ps) {
+        const std::uint64_t accesses = ps.accesses;
+        ps = PageState{};
+        ps.accesses = accesses;
+    });
 }
 
 void
@@ -929,10 +921,14 @@ Gpu::dumpDiagnostics(std::ostream &os) const
         os << "gpu " << _id << ": UNPLUGGED\n";
         return;
     }
+    std::size_t writebacks = 0;
+    _pages.forEach([&writebacks](Vpn, const PageState &ps) {
+        writebacks += ps.writebackInFlight;
+    });
     os << "gpu " << _id << ": " << _doneCus << "/" << _cus.size()
        << " CUs done, mshr " << _mshr.size() << ", backlog "
        << _missBacklog.size() << ", walk queue " << _gmmu.queueDepth()
-       << ", writebacks in flight " << _writebackInFlight.size();
+       << ", writebacks in flight " << writebacks;
     if (_irmb)
         os << ", irmb " << _irmb->pendingVpns() << " vpns";
     os << "\n";

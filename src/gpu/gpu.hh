@@ -12,11 +12,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/mshr.hh"
+#include "cache/vpn_table.hh"
 #include "core/irmb.hh"
 #include "core/transfw.hh"
 #include "gmmu/gmmu.hh"
@@ -164,14 +163,21 @@ class Gpu : public GpuItf
     Tick finishTick() const { return _finishTick; }
 
     /**
-     * Per-VPN access totals tallied locally during the run; the
-     * harness replays them into the driver (recordAccessBulk) at
-     * quiesce so the sharing-degree accounting never needs a
-     * cross-shard call on the access fast path.
+     * Visit the per-VPN access totals tallied locally during the run
+     * as visit(Vpn, std::uint64_t count), pages with no access
+     * skipped. The harness replays them into the driver
+     * (UvmDriver::recordAccesses) at quiesce so the sharing-degree
+     * accounting never needs a cross-shard call on the access fast
+     * path. Visit order is unspecified; only fold the counts.
      */
-    const std::unordered_map<Vpn, std::uint64_t> &accessTally() const
+    template <typename Visit>
+    void
+    forEachAccessTally(Visit &&visit) const
     {
-        return _accessTally;
+        _pages.forEach([&visit](Vpn vpn, const PageState &ps) {
+            if (ps.accesses)
+                visit(vpn, ps.accesses);
+        });
     }
 
     /**
@@ -196,6 +202,37 @@ class Gpu : public GpuItf
         EventFn done;
         Tick missStart = 0;
     };
+
+    /**
+     * Everything the GPU keeps per page, in one record (DESIGN.md
+     * §13). Records are never erased: the access tally lives for the
+     * whole run, and every other field is reset in place where the
+     * old per-field maps erased.
+     */
+    struct PageState
+    {
+        std::uint64_t accesses = 0; ///< run-long tally for the driver
+        /** Remote accesses since the last mapping change (§3.3). */
+        std::uint32_t accessCounter = 0;
+        /** Invalidations received; a walk or install issued under an
+         *  older epoch is stale. */
+        std::uint32_t invalEpoch = 0;
+        /** Last invalidation round seen (0: none), with the necessity
+         *  verdict of its first delivery so a duplicate re-acks with
+         *  it. A duplicate may only re-ack once that delivery's
+         *  invalidation has actually been applied (`seenApplied`):
+         *  under walk-queue backpressure the invalidation walk can
+         *  sit queued for a long time, and re-acking earlier would
+         *  complete the round while the PTE is still live. */
+        std::uint32_t seenRound = 0;
+        /** Update walks submitted but not yet completed. */
+        std::uint16_t installsInFlight = 0;
+        bool migrationRequested : 1 = false;
+        bool writebackInFlight : 1 = false; ///< IRMB write-back walk
+        bool seenWasValid : 1 = false;
+        bool seenApplied : 1 = false;
+    };
+    static_assert(sizeof(PageState) <= 24, "PageState must stay compact");
 
     void handleL2Miss(std::uint32_t cu, Vpn vpn, Waiter waiter,
                       bool forceFault);
@@ -229,8 +266,11 @@ class Gpu : public GpuItf
     void noteMappingInstalled(Vpn vpn);
     void noteMappingDropped(Vpn vpn);
 
-    /** Logically stale: buffered in the IRMB or being written back. */
-    bool pendingInvalid(Vpn vpn) const;
+    /**
+     * Logically stale: buffered in the IRMB or being written back.
+     * @param ps the page's record (nullptr if it has none).
+     */
+    bool pendingInvalid(Vpn vpn, const PageState *ps) const;
 
     /** Does any MSHR waiter for @p vpn want write permission? */
     bool mshrWantsWrite(Vpn vpn) const;
@@ -258,29 +298,10 @@ class Gpu : public GpuItf
     /** Re-issue backlogged misses as MSHR entries free up. */
     void drainMissBacklog();
 
-    /** Last invalidation round seen per VPN, with its necessity
-     *  classification so duplicate deliveries can re-ack with the
-     *  original verdict. A duplicate may only re-ack once the first
-     *  delivery's invalidation has actually been applied (`applied`):
-     *  under walk-queue backpressure the invalidation walk can sit
-     *  queued for a long time, and re-acking earlier would complete
-     *  the round while the PTE is still live. */
-    struct SeenRound
-    {
-        std::uint32_t round = 0;
-        bool wasValid = false;
-        bool applied = false;
-    };
-
-    MshrFile<Vpn, Waiter> _mshr;
+    MshrFile<Waiter> _mshr;
     std::deque<BackloggedMiss> _missBacklog;
-    std::unordered_map<Vpn, std::uint32_t> _accessCounters;
-    std::unordered_map<Vpn, std::uint64_t> _accessTally;
-    std::unordered_set<Vpn> _migrationRequested;
-    std::unordered_set<Vpn> _writebackInFlight;
-    std::unordered_map<Vpn, std::uint32_t> _invalEpochs;
-    std::unordered_map<Vpn, SeenRound> _seenInvalRounds;
-    std::unordered_map<Vpn, std::uint32_t> _installsInFlight;
+    /** Per-page state. Hold no record reference across an insert. */
+    VpnTable<PageState> _pages;
 
     TranslationOracle *_oracle = nullptr;
     Tracer *_tracer = nullptr;

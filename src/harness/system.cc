@@ -332,6 +332,7 @@ MultiGpuSystem::launch(const Workload &workload)
     IDYLL_ASSERT(!_ran, "MultiGpuSystem is single-shot; build a new one");
     _ran = true;
 
+    _driver.reservePages(workload.params().footprintPages);
     if (_cfg.prepopulate == Prepopulate::HomeShard) {
         const std::uint64_t pages = workload.params().footprintPages;
         for (std::uint64_t page = 0; page < pages; ++page) {
@@ -456,8 +457,9 @@ MultiGpuSystem::finish(const std::string &app)
     if (_injector)
         _injector->foldStats();
     for (auto &gpu : _gpus)
-        for (const auto &[vpn, count] : gpu->accessTally())
-            _driver.recordAccessBulk(gpu->id(), vpn, count);
+        gpu->forEachAccessTally([&](Vpn vpn, std::uint64_t count) {
+            _driver.recordAccesses(gpu->id(), vpn, count);
+        });
 
     return collectResults(app);
 }

@@ -113,24 +113,6 @@ class DriverItf
      * records residency so future migrations invalidate it.
      */
     virtual void onMappingRegistered(GpuId gpu, Vpn vpn) = 0;
-
-    /** Bookkeeping hook: a data access to @p vpn by @p gpu (untimed). */
-    virtual void recordAccess(GpuId gpu, Vpn vpn) = 0;
-
-    /**
-     * Bulk form of recordAccess: @p count accesses to @p vpn by
-     * @p gpu. GPUs tally accesses locally during the run (the per-
-     * access hook would be a cross-shard call on every access) and
-     * the harness replays the totals through this at quiesce; the
-     * aggregate is order-independent, so results match the per-access
-     * form exactly.
-     */
-    virtual void recordAccessBulk(GpuId gpu, Vpn vpn,
-                                  std::uint64_t count)
-    {
-        for (std::uint64_t i = 0; i < count; ++i)
-            recordAccess(gpu, vpn);
-    }
 };
 
 } // namespace idyll

@@ -1,6 +1,7 @@
 #include "uvm/uvm_driver.hh"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 
 #include "sim/integrity.hh"
@@ -55,7 +56,6 @@ UvmDriver::prepopulatePage(Vpn vpn, GpuId owner)
         _dir->markAccess(pte, owner, vpn);
     if (_vmDir)
         _vmDir->setBit(vpn, owner);
-    meta(vpn).everAccessedMask |= (1ull << owner);
     if (_oracle)
         _oracle->onHostInstall(vpn, *pfn);
     return *pfn;
@@ -67,42 +67,32 @@ UvmDriver::hostWalkCost() const
     return _cfg.hostPerLevelLatency * _layout.numLevels;
 }
 
-PageMeta &
-UvmDriver::meta(Vpn vpn)
+const std::unordered_map<GpuId, Pfn> *
+UvmDriver::replicasOf(Vpn vpn) const
 {
-    return _pages[vpn];
+    auto it = _replicas.find(vpn);
+    return it == _replicas.end() ? nullptr : &it->second;
 }
 
 void
-UvmDriver::recordAccess(GpuId gpu, Vpn vpn)
+UvmDriver::recordAccesses(GpuId gpu, Vpn vpn, std::uint64_t count)
 {
-    recordAccessBulk(gpu, vpn, 1);
-}
-
-void
-UvmDriver::recordAccessBulk(GpuId gpu, Vpn vpn, std::uint64_t count)
-{
-    auto &counts = _accessCounts[vpn];
-    if (counts.empty())
-        counts.resize(_cfg.numGpus, 0);
-    counts[gpu] += count;
+    IDYLL_ASSERT(gpu < _cfg.numGpus, "access by unknown GPU ", gpu);
+    if (count == 0)
+        return;
+    PageMeta &pm = _pages[vpn];
+    pm.sharers |= 1ull << gpu;
+    pm.accesses += count;
 }
 
 std::vector<std::uint64_t>
 UvmDriver::accessesBySharingDegree() const
 {
     std::vector<std::uint64_t> buckets(_cfg.numGpus, 0);
-    for (const auto &[vpn, counts] : _accessCounts) {
-        std::uint32_t degree = 0;
-        std::uint64_t total = 0;
-        for (std::uint64_t c : counts) {
-            if (c > 0)
-                ++degree;
-            total += c;
-        }
-        if (degree > 0)
-            buckets[degree - 1] += total;
-    }
+    _pages.forEach([&buckets](Vpn, const PageMeta &pm) {
+        if (pm.sharers)
+            buckets[std::popcount(pm.sharers) - 1] += pm.accesses;
+    });
     return buckets;
 }
 
@@ -173,9 +163,6 @@ UvmDriver::resolveFault(FaultRecord fault)
         return;
     }
 
-    PageMeta &pm = meta(fault.vpn);
-    pm.everAccessedMask |= (1ull << fault.gpu);
-
     Pte *hpte = _hostPt.find(fault.vpn);
     if (!hpte || !hpte->valid()) {
         // First touch anywhere: allocate on the faulting GPU and move
@@ -232,7 +219,7 @@ UvmDriver::resolveFault(FaultRecord fault)
             auto pfn = _gpuMem[fault.gpu].allocate();
             if (!pfn)
                 fatal("GPU ", fault.gpu, " out of memory for replica");
-            pm.replicaFrames[fault.gpu] = *pfn;
+            _replicas[fault.vpn][fault.gpu] = *pfn;
             _stats.replications.inc();
             // Page data moves owner -> requester over NVLink, then the
             // mapping reply goes out. The completion mutates driver
@@ -244,7 +231,8 @@ UvmDriver::resolveFault(FaultRecord fault)
                       });
             return;
         }
-        if (!pm.replicaFrames.empty()) {
+        if (const auto *replicas = replicasOf(fault.vpn);
+            replicas && !replicas->empty()) {
             // Write to a replicated page: collapse replicas onto the
             // writer (a migration with exact targets).
             _stats.collapses.inc();
@@ -296,9 +284,10 @@ UvmDriver::deliverReplica(const FaultRecord &fault, Pfn pfn)
         mig->second.blockedFaults.push_back(fault);
         return;
     }
-    const PageMeta &pm = meta(fault.vpn);
-    auto rit = pm.replicaFrames.find(fault.gpu);
-    if (rit == pm.replicaFrames.end() || rit->second != pfn) {
+    // The page's entry was created with this frame and is never erased.
+    const auto &replicas = _replicas[fault.vpn];
+    auto rit = replicas.find(fault.gpu);
+    if (rit == replicas.end() || rit->second != pfn) {
         // Collapse already completed: the frame was freed and the
         // grant is stale. Re-run the fault against current state.
         resolveFault(fault);
@@ -376,7 +365,6 @@ UvmDriver::startMigration(Vpn vpn, GpuId dest, bool collapse)
     op.sourceHost = isDead(owner);
     auto [it, inserted] = _migrations.emplace(vpn, std::move(op));
     IDYLL_ASSERT(inserted, "duplicate migration op");
-    meta(vpn).migrating = true;
     _stats.migrations.inc();
     IDYLL_TRACE(_tracer, MigStart, dest, vpn, owner);
 
@@ -437,10 +425,12 @@ UvmDriver::sendInvalidations(Migration &op)
     if (op.collapse) {
         // The replicas and the primary owner must be covered even if
         // the filter lost track of them (e.g. a cleared directory).
-        for (const auto &[gpu, pfn] : meta(op.vpn).replicaFrames) {
-            if (std::find(targets.begin(), targets.end(), gpu) ==
-                targets.end())
-                targets.push_back(gpu);
+        if (const auto *replicas = replicasOf(op.vpn)) {
+            for (const auto &[gpu, pfn] : *replicas) {
+                if (std::find(targets.begin(), targets.end(), gpu) ==
+                    targets.end())
+                    targets.push_back(gpu);
+            }
         }
         if (std::find(targets.begin(), targets.end(), op.oldOwner) ==
             targets.end())
@@ -466,7 +456,7 @@ UvmDriver::dispatchInvalidations(Migration &op)
 {
     IDYLL_ASSERT(!op.dispatched, "invalidation round already dispatched");
     op.dispatched = true;
-    op.round = ++_invalRounds[op.vpn];
+    op.round = ++_pages[op.vpn].invalRound;
 
     // An unplugged GPU can never ack, and its PTEs died with it; drop
     // it from the round (stale directory bits may still name it).
@@ -658,7 +648,6 @@ UvmDriver::finishMigration(Vpn vpn, std::uint64_t opId)
     Migration op = std::move(it->second);
     IDYLL_ASSERT(!isDead(op.dest), "finishing migration to a dead GPU");
 
-    PageMeta &pm = meta(vpn);
     Pte *hpte = _hostPt.find(vpn);
     IDYLL_ASSERT(hpte && hpte->valid(), "host PTE lost during migration");
 
@@ -672,17 +661,17 @@ UvmDriver::finishMigration(Vpn vpn, std::uint64_t opId)
     }
 
     // Free every read replica (collapse) — their PTEs are invalid now.
-    for (const auto &[gpu, replicaPfn] : pm.replicaFrames)
-        _gpuMem[gpu].release(replicaPfn);
-    pm.replicaFrames.clear();
+    if (auto rit = _replicas.find(vpn); rit != _replicas.end()) {
+        for (const auto &[gpu, replicaPfn] : rit->second)
+            _gpuMem[gpu].release(replicaPfn);
+        rit->second.clear();
+    }
 
     Pte &fresh = _hostPt.install(vpn, newPfn, true);
     if (_dir)
         _dir->markAccess(fresh, op.dest, vpn);
     if (_vmDir)
         _vmDir->setBit(vpn, op.dest);
-    pm.everAccessedMask |= (1ull << op.dest);
-    pm.migrating = false;
     _migrations.erase(it);
 
     _stats.migrationTotal.sample(
@@ -783,15 +772,15 @@ UvmDriver::onGpuUnplug(GpuId gpu)
     // SCRUB: free the dead device's replica frames and clear its
     // directory presence so future rounds stop naming it.
     std::vector<Vpn> replicaVpns;
-    for (const auto &[vpn, pm] : _pages)
-        if (pm.replicaFrames.count(gpu))
+    for (const auto &[vpn, replicas] : _replicas)
+        if (replicas.count(gpu))
             replicaVpns.push_back(vpn);
     std::sort(replicaVpns.begin(), replicaVpns.end());
     for (Vpn vpn : replicaVpns) {
-        PageMeta &pm = _pages[vpn];
-        auto rit = pm.replicaFrames.find(gpu);
+        auto &replicas = _replicas[vpn];
+        auto rit = replicas.find(gpu);
         _gpuMem[gpu].release(rit->second);
-        pm.replicaFrames.erase(rit);
+        replicas.erase(rit);
     }
     if (_dir) {
         std::vector<Vpn> ptVpns;
@@ -821,9 +810,9 @@ UvmDriver::onGpuUnplug(GpuId gpu)
     });
     std::sort(deadHomed.begin(), deadHomed.end());
     for (Vpn vpn : deadHomed) {
-        const PageMeta &pm = meta(vpn);
+        const auto *replicas = replicasOf(vpn);
         for (GpuId g = 0; g < _cfg.numGpus; ++g) {
-            if (isDead(g) || pm.replicaFrames.count(g))
+            if (isDead(g) || (replicas && replicas->count(g)))
                 continue;
             if (_gpus[g]->hasValidMapping(vpn)) {
                 _gpus[g]->applyInstantInvalidation(vpn);
@@ -843,13 +832,15 @@ UvmDriver::onGpuUnplug(GpuId gpu)
     });
     std::sort(lost.begin(), lost.end());
     for (Vpn vpn : lost) {
-        PageMeta &pm = meta(vpn);
         GpuId survivor = kInvalidGpu;
         Pfn survivorPfn = 0;
-        for (const auto &[g, replicaPfn] : pm.replicaFrames) {
-            if (!isDead(g) && (survivor == kInvalidGpu || g < survivor)) {
-                survivor = g;
-                survivorPfn = replicaPfn;
+        if (const auto *replicas = replicasOf(vpn)) {
+            for (const auto &[g, replicaPfn] : *replicas) {
+                if (!isDead(g) &&
+                    (survivor == kInvalidGpu || g < survivor)) {
+                    survivor = g;
+                    survivorPfn = replicaPfn;
+                }
             }
         }
         if (survivor == kInvalidGpu) {
@@ -861,7 +852,7 @@ UvmDriver::onGpuUnplug(GpuId gpu)
         // read-only local mapping stays servable.
         Pte *pte = _hostPt.find(vpn);
         _gpuMem[gpu].release(pte->pfn());
-        pm.replicaFrames.erase(survivor);
+        _replicas[vpn].erase(survivor);
         Pte &fresh = _hostPt.install(vpn, survivorPfn, true);
         if (_dir)
             _dir->markAccess(fresh, survivor, vpn);
@@ -919,7 +910,6 @@ UvmDriver::abortMigration(Vpn vpn, std::size_t windowIdx)
     IDYLL_ASSERT(it != _migrations.end(), "no migration to abort");
     Migration op = std::move(it->second);
     _migrations.erase(it);
-    meta(vpn).migrating = false;
     _stats.abortedMigrations.inc();
     ++_recoveries[windowIdx].abortedMigrations;
     if (op.recovery)
@@ -966,7 +956,6 @@ UvmDriver::onMappingRegistered(GpuId gpu, Vpn vpn)
     }
     if (_vmDir)
         _vmDir->setBit(vpn, gpu);
-    meta(vpn).everAccessedMask |= (1ull << gpu);
 }
 
 std::size_t

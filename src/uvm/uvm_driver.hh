@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/vpn_table.hh"
 #include "core/directory.hh"
 #include "core/vm_directory.hh"
 #include "interconnect/network.hh"
@@ -96,12 +97,15 @@ struct RecoveryWindow
     std::uint64_t pendingOps = 0;       ///< open re-home migrations
 };
 
-/** Per-page driver bookkeeping beyond the host PTE. */
+/**
+ * Per-page driver bookkeeping beyond the host PTE, one compact record
+ * per page (DESIGN.md §13). Replica frames live in a side map.
+ */
 struct PageMeta
 {
-    std::uint64_t everAccessedMask = 0; ///< GPUs that ever faulted
-    std::unordered_map<GpuId, Pfn> replicaFrames;
-    bool migrating = false;
+    std::uint64_t sharers = 0;  ///< GPUs with recorded accesses
+    std::uint64_t accesses = 0; ///< recorded accesses, all GPUs
+    std::uint32_t invalRound = 0; ///< last invalidation round issued
 };
 
 /** The UVM driver. */
@@ -113,6 +117,13 @@ class UvmDriver : public DriverItf
 
     /** Wire up the GPUs once they exist (System does this). */
     void attachGpus(std::vector<GpuItf *> gpus);
+
+    /**
+     * Size the per-page table for @p pages pages (the workload
+     * footprint) so it does not grow during the run (System does
+     * this at launch).
+     */
+    void reservePages(std::size_t pages) { _pages.reserve(pages); }
 
     /**
      * Warm-start helper: place @p vpn on @p owner with the host-side
@@ -187,9 +198,15 @@ class UvmDriver : public DriverItf
     void onInvalAck(GpuId from, Vpn vpn, std::uint32_t round,
                     bool wasValid) override;
     void onMappingRegistered(GpuId gpu, Vpn vpn) override;
-    void recordAccess(GpuId gpu, Vpn vpn) override;
-    void recordAccessBulk(GpuId gpu, Vpn vpn,
-                          std::uint64_t count) override;
+
+    /**
+     * Bookkeeping for Figure 4: @p count data accesses to @p vpn by
+     * @p gpu (untimed). GPUs tally accesses locally during the run
+     * (a per-access call would cross shards on every access) and the
+     * harness replays the totals through this at quiesce; the
+     * aggregate is order-independent.
+     */
+    void recordAccesses(GpuId gpu, Vpn vpn, std::uint64_t count);
 
     // --- introspection -------------------------------------------------
     RadixPageTable &hostPageTable() { return _hostPt; }
@@ -258,7 +275,9 @@ class UvmDriver : public DriverItf
     void maybeStartTransfer(Vpn vpn);
     void finishMigration(Vpn vpn, std::uint64_t opId);
     void replayBlocked(std::vector<FaultRecord> faults);
-    PageMeta &meta(Vpn vpn);
+
+    /** Read replicas of @p vpn (gpu -> frame), or nullptr if none. */
+    const std::unordered_map<GpuId, Pfn> *replicasOf(Vpn vpn) const;
 
     // --- device-loss recovery helpers ---------------------------------
     /** Start a host-sourced re-home migration for @p vpn. */
@@ -282,9 +301,16 @@ class UvmDriver : public DriverItf
 
     WorkerPool _workers;
     std::unordered_map<Vpn, Migration> _migrations;
-    std::unordered_map<Vpn, PageMeta> _pages;
-    std::unordered_map<Vpn, std::vector<std::uint64_t>> _accessCounts;
-    std::unordered_map<Vpn, std::uint32_t> _invalRounds;
+    /** Per-page state. Hold no record reference across an insert. */
+    VpnTable<PageMeta> _pages;
+    /**
+     * Read-replica frames, keyed only by pages that were ever
+     * replicated. A page's entry stays once created (a collapse only
+     * clears it), so its map keeps the bucket history that fixes its
+     * iteration order: that order picks the collapse invalidation
+     * targets and the frame release order.
+     */
+    std::unordered_map<Vpn, std::unordered_map<GpuId, Pfn>> _replicas;
 
     TranslationOracle *_oracle = nullptr;
     Tracer *_tracer = nullptr;

@@ -12,7 +12,7 @@ namespace idyll
 namespace
 {
 
-using File = MshrFile<std::uint64_t, int>;
+using File = MshrFile<int>;
 
 TEST(Mshr, PrimaryThenSecondaryMerge)
 {
@@ -60,6 +60,55 @@ TEST(Mshr, PeekWaitersIsNonDestructive)
     EXPECT_EQ(w->size(), 1u);
     EXPECT_TRUE(m.contains(5));
     EXPECT_EQ(m.peekWaiters(6), nullptr);
+}
+
+TEST(Mshr, ReleaseThenReallocateSameKeyStartsFresh)
+{
+    File m(2);
+    m.allocate(10, 1);
+    m.allocate(10, 2);
+    m.allocate(11, 3);
+    EXPECT_TRUE(m.full());
+    auto first = m.release(10);
+    EXPECT_EQ(first.size(), 2u);
+    EXPECT_FALSE(m.full());
+    EXPECT_EQ(m.waiters(10), 0u);
+
+    // The same key allocates as a new primary, with none of the old
+    // waiters, and the untouched entry keeps its own.
+    EXPECT_TRUE(m.allocate(10, 4));
+    EXPECT_TRUE(m.full());
+    auto second = m.release(10);
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_EQ(second[0], 4);
+    ASSERT_EQ(m.waiters(11), 1u);
+    EXPECT_EQ(m.release(11)[0], 3);
+    EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(Mshr, ClearDropsEveryEntryAndFreesCapacity)
+{
+    File m(3);
+    m.allocate(1, 10);
+    m.allocate(1, 11);
+    m.allocate(2, 20);
+    m.allocate(3, 30);
+    ASSERT_TRUE(m.full());
+    m.clear();
+    EXPECT_EQ(m.size(), 0u);
+    EXPECT_FALSE(m.full());
+    for (std::uint64_t key : {1, 2, 3}) {
+        EXPECT_FALSE(m.contains(key));
+        EXPECT_EQ(m.peekWaiters(key), nullptr);
+    }
+    // Full capacity is available again, and old waiters are gone.
+    EXPECT_TRUE(m.allocate(2, 21));
+    EXPECT_TRUE(m.allocate(4, 40));
+    EXPECT_TRUE(m.allocate(5, 50));
+    EXPECT_TRUE(m.full());
+    auto waiters = m.release(2);
+    ASSERT_EQ(waiters.size(), 1u);
+    EXPECT_EQ(waiters[0], 21);
 }
 
 TEST(MshrDeath, OverflowAndUnknownReleasePanic)

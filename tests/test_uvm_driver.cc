@@ -311,10 +311,9 @@ TEST_F(DriverFixture, DroppedAckRecoveredByRetry)
 
 TEST_F(DriverFixture, SharingDegreeTracksAccesses)
 {
-    driver->recordAccess(0, 42);
-    driver->recordAccess(0, 42);
-    driver->recordAccess(1, 42);
-    driver->recordAccess(2, 99);
+    driver->recordAccesses(0, 42, 2);
+    driver->recordAccesses(1, 42, 1);
+    driver->recordAccesses(2, 99, 1);
     auto buckets = driver->accessesBySharingDegree();
     ASSERT_EQ(buckets.size(), 4u);
     EXPECT_EQ(buckets[0], 1u); // one access to the 1-GPU page (99)

@@ -206,8 +206,7 @@ class Gpu : public GpuItf
     /**
      * Everything the GPU keeps per page, in one record (DESIGN.md
      * §13). Records are never erased: the access tally lives for the
-     * whole run, and every other field is reset in place where the
-     * old per-field maps erased.
+     * whole run, so clearing any other field resets it in place.
      */
     struct PageState
     {

@@ -103,8 +103,8 @@ struct RecoveryWindow
  */
 struct PageMeta
 {
-    std::uint64_t sharers = 0;  ///< GPUs with recorded accesses
-    std::uint64_t accesses = 0; ///< recorded accesses, all GPUs
+    std::uint64_t sharers = 0;    ///< GPUs with recorded accesses
+    std::uint64_t accesses = 0;   ///< recorded accesses, all GPUs
     std::uint32_t invalRound = 0; ///< last invalidation round issued
 };
 

@@ -31,7 +31,7 @@ ParallelRunner::ParallelRunner(unsigned jobs) : _jobs(resolveJobs(jobs))
 std::vector<std::vector<SimResults>>
 ParallelRunner::runGrid(const std::vector<std::string> &apps,
                         const std::vector<SchemePoint> &schemes,
-                        double scale) const
+                        double scale, WorkloadFn workload) const
 {
     std::vector<std::vector<SimResults>> out(
         schemes.size(), std::vector<SimResults>(apps.size()));
@@ -42,7 +42,10 @@ ParallelRunner::runGrid(const std::vector<std::string> &apps,
     auto runCell = [&](std::size_t task) {
         const std::size_t s = task / apps.size();
         const std::size_t a = task % apps.size();
-        SimResults r = runOnce(apps[a], schemes[s].cfg, scale);
+        const double work = scale * schemes[s].work;
+        SimResults r =
+            workload ? runOnce(workload(apps[a], work), schemes[s].cfg)
+                     : runOnce(apps[a], schemes[s].cfg, work);
         r.scheme = schemes[s].label;
         out[s][a] = std::move(r);
     };

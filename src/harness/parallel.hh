@@ -49,13 +49,15 @@ class ParallelRunner
     unsigned jobs() const { return _jobs; }
 
     /**
-     * Run every app under every scheme.
+     * Run every app under every scheme, each at @p scale times the
+     * scheme's work multiplier, with the workload built by
+     * @p workload (null = Workload::byName).
      * Results are indexed [scheme][app] in the given orders.
      */
     std::vector<std::vector<SimResults>>
     runGrid(const std::vector<std::string> &apps,
             const std::vector<SchemePoint> &schemes,
-            double scale = 1.0) const;
+            double scale = 1.0, WorkloadFn workload = nullptr) const;
 
   private:
     unsigned _jobs;

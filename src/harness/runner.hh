@@ -1,7 +1,7 @@
 /**
  * @file
  * Experiment runner: one-call helpers that build a fresh system per
- * (app, config) pair — shared by every bench binary and the
+ * (app, config) pair — shared by the sweeps, benches and the
  * integration tests.
  */
 
@@ -30,7 +30,11 @@ struct SchemePoint
 {
     std::string label;
     SystemConfig cfg;
+    double work = 1.0; ///< multiplies the suite's workload scale
 };
+
+/** Builds a grid cell's workload from its app name and scale. */
+using WorkloadFn = Workload (*)(const std::string &app, double scale);
 
 /**
  * Run every app under every scheme, fanning the grid out across a
@@ -45,7 +49,7 @@ runSuite(const std::vector<std::string> &apps,
          unsigned jobs = 0);
 
 /**
- * Default workload scale for the bench binaries. Override with the
+ * Default workload scale for sweeps and benches. Override with the
  * IDYLL_BENCH_SCALE environment variable to trade runtime for
  * statistical weight.
  */

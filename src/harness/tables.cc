@@ -1,5 +1,6 @@
 #include "harness/tables.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <limits>
@@ -67,21 +68,28 @@ void
 ResultTable::print(std::ostream &os, int precision) const
 {
     constexpr int kLabelWidth = 10;
-    constexpr int kColWidth = 14;
+    constexpr std::size_t kColWidth = 14;
+
+    // A long header widens its column so a space always separates it
+    // from its left neighbour.
+    std::vector<int> widths;
+    std::size_t ruleWidth = kLabelWidth;
+    for (const std::string &col : _columns) {
+        widths.push_back(
+            static_cast<int>(std::max(kColWidth, col.size() + 1)));
+        ruleWidth += widths.back();
+    }
 
     os << "\n== " << _title << " ==\n";
     os << std::left << std::setw(kLabelWidth) << "app";
-    for (const std::string &col : _columns)
-        os << std::right << std::setw(kColWidth) << col;
-    os << "\n";
-    os << std::string(kLabelWidth +
-                          kColWidth * _columns.size(), '-')
-       << "\n";
+    for (std::size_t c = 0; c < _columns.size(); ++c)
+        os << std::right << std::setw(widths[c]) << _columns[c];
+    os << "\n" << std::string(ruleWidth, '-') << "\n";
     for (const auto &[label, values] : _rows) {
         os << std::left << std::setw(kLabelWidth) << label;
-        for (double v : values) {
-            os << std::right << std::setw(kColWidth) << std::fixed
-               << std::setprecision(precision) << v;
+        for (std::size_t c = 0; c < values.size(); ++c) {
+            os << std::right << std::setw(widths[c]) << std::fixed
+               << std::setprecision(precision) << values[c];
         }
         os << "\n";
     }

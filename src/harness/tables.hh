@@ -1,7 +1,7 @@
 /**
  * @file
- * Fixed-width result tables for the benchmark harness, so every bench
- * binary prints rows in the same layout as the paper's figures.
+ * Fixed-width result tables for the benchmark harness, so every sweep
+ * prints rows in the same layout as the paper's figures.
  */
 
 #ifndef IDYLL_HARNESS_TABLES_HH

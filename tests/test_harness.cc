@@ -42,6 +42,25 @@ TEST(Tables, ResultTableRendersRowsAndAverage)
     EXPECT_NE(out.find("3.0"), std::string::npos); // avg of column b
 }
 
+TEST(Tables, ResultTableSeparatesLongHeaders)
+{
+    // 14 characters fill the default column; 15 overflow it.
+    ResultTable table("demo", {"IDYLL+Trans-FW", "unnecessary-inv"});
+    table.addRow("x", {1.0, 2.0});
+    std::ostringstream os;
+    table.print(os, 1);
+    const std::string out = os.str();
+    EXPECT_NE(out.find(" IDYLL+Trans-FW unnecessary-inv\n"),
+              std::string::npos)
+        << out;
+    // Values stay right-aligned under their (widened) headers.
+    const auto header = out.find("app");
+    const auto row = out.find("x ");
+    ASSERT_NE(header, std::string::npos);
+    ASSERT_NE(row, std::string::npos);
+    EXPECT_EQ(out.find('\n', header) - header, out.find('\n', row) - row);
+}
+
 TEST(TablesDeath, RowArityMustMatchColumns)
 {
     ResultTable table("demo", {"a", "b"});

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "harness/cli.hh"
 #include "harness/sweeps.hh"
 #include "harness/tables.hh"
 
@@ -105,14 +104,75 @@ TEST(Sweeps, RegistryNamesResolve)
         const auto spec = sweepByName(name);
         ASSERT_TRUE(spec.has_value()) << name;
         EXPECT_EQ(spec->name, name);
+        if (spec->columns.empty()) {
+            // Text-only (Table 2): nothing to run.
+            EXPECT_TRUE(spec->apps.empty()) << name;
+            EXPECT_TRUE(spec->points.empty()) << name;
+            EXPECT_FALSE(spec->notes.empty()) << name;
+            continue;
+        }
         EXPECT_FALSE(spec->apps.empty()) << name;
-        EXPECT_FALSE(spec->schemes.empty()) << name;
-        // Every scheme name must resolve to a preset.
-        for (const std::string &scheme : spec->schemes)
-            EXPECT_TRUE(schemeByName(scheme).has_value())
-                << name << " -> " << scheme;
+        EXPECT_FALSE(spec->points.empty()) << name;
+        // Point labels key the JSON "schemes" list and the columns.
+        auto labels = pointLabels(*spec);
+        std::sort(labels.begin(), labels.end());
+        EXPECT_EQ(std::adjacent_find(labels.begin(), labels.end()),
+                  labels.end())
+            << name << " repeats a point label";
     }
     EXPECT_FALSE(sweepByName("no-such-figure").has_value());
+}
+
+TEST(Sweeps, EveryPaperFigureIsRegistered)
+{
+    const std::vector<std::string> paper = {
+        "table2", "table3", "fig01", "fig02", "fig04", "fig05", "fig06",
+        "fig07", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
+        "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23",
+        "fig24", "ablation-directory-bits", "ablation-irmb-policy",
+        "ablation-mmu-cache"};
+    for (const std::string &name : paper)
+        EXPECT_TRUE(sweepByName(name).has_value()) << name;
+}
+
+TEST(Sweeps, ColumnsMeasureRegisteredPoints)
+{
+    for (const SweepSpec &spec : allSweeps()) {
+        const auto labels = pointLabels(spec);
+        auto known = [&](const std::string &label) {
+            return std::find(labels.begin(), labels.end(), label) !=
+                   labels.end();
+        };
+        std::vector<std::string> used;
+        for (const SweepColumn &col : spec.columns) {
+            EXPECT_TRUE(known(col.point))
+                << spec.name << "/" << col.header << " -> " << col.point;
+            used.push_back(col.point);
+            const bool relative = col.metric == Metric::Speedup ||
+                                  col.metric == Metric::Ratio ||
+                                  col.metric == Metric::Saving;
+            EXPECT_EQ(relative, !col.against.empty())
+                << spec.name << "/" << col.header;
+            if (relative) {
+                EXPECT_TRUE(known(col.against))
+                    << spec.name << "/" << col.header << " against "
+                    << col.against;
+                used.push_back(col.against);
+            } else {
+                EXPECT_NE(col.field, nullptr)
+                    << spec.name << "/" << col.header;
+            }
+            if (col.metric == Metric::Percent) {
+                EXPECT_NE(col.whole, nullptr)
+                    << spec.name << "/" << col.header;
+            }
+        }
+        // Every point feeds some column: no run is wasted.
+        for (const std::string &label : labels)
+            EXPECT_NE(std::find(used.begin(), used.end(), label),
+                      used.end())
+                << spec.name << " never reads point " << label;
+    }
 }
 
 TEST(Sweeps, SmokeSweepIsCiSized)
@@ -120,11 +180,9 @@ TEST(Sweeps, SmokeSweepIsCiSized)
     const auto spec = sweepByName("smoke");
     ASSERT_TRUE(spec.has_value());
     EXPECT_EQ(spec->apps.size(), 2u);
-    EXPECT_EQ(spec->schemes.size(), 3u);
-    const auto points = sweepSchemes(*spec);
-    ASSERT_EQ(points.size(), 3u);
-    // Schemes come back simulation-scaled.
-    EXPECT_EQ(points[0].cfg.accessCounterThreshold,
+    ASSERT_EQ(spec->points.size(), 3u);
+    // Points come simulation-scaled.
+    EXPECT_EQ(spec->points[0].cfg.accessCounterThreshold,
               kScaledThreshold256);
 }
 
@@ -135,18 +193,69 @@ TEST(Sweeps, Fig11MatchesThePapersGrid)
     EXPECT_EQ(spec->apps.size(), 9u); // the Table 3 applications
     // The paper's six schemes plus the two L2-policy ablations
     // (dead-entry eviction, sub-entry sharing) on top of IDYLL.
-    EXPECT_EQ(spec->schemes.size(), 8u);
-    EXPECT_EQ(spec->schemes.front(), "baseline");
+    ASSERT_EQ(spec->points.size(), 8u);
+    EXPECT_EQ(spec->points.front().label, "baseline");
 }
 
 TEST(Sweeps, Fig17ComparesL2TlbPolicies)
 {
+    // The paper's Figure 17: IDYLL with a 2048-entry L2 TLB against a
+    // baseline with the same L2, plus sub-entry sharing and dead-entry
+    // eviction on that L2.
     const auto spec = sweepByName("fig17");
     ASSERT_TRUE(spec.has_value());
-    ASSERT_EQ(spec->schemes.size(), 3u);
-    EXPECT_EQ(spec->schemes[0], "idyll");
-    EXPECT_EQ(spec->schemes[1], "idyll+dead");
-    EXPECT_EQ(spec->schemes[2], "idyll+sub");
+    bool sub = false;
+    bool dead = false;
+    for (const SchemePoint &point : spec->points) {
+        EXPECT_EQ(point.cfg.l2Tlb.entries, 2048u) << point.label;
+        sub |= point.cfg.l2Tlb.subEntries > 1;
+        dead |= point.cfg.l2Tlb.deadEntryEviction;
+    }
+    EXPECT_TRUE(sub);
+    EXPECT_TRUE(dead);
+    ASSERT_EQ(spec->columns.size(), 3u);
+    for (const SweepColumn &col : spec->columns)
+        EXPECT_EQ(col.against, spec->columns.front().against);
+    const auto &points = spec->points;
+    const auto base = std::find_if(
+        points.begin(), points.end(), [&](const SchemePoint &p) {
+            return p.label == spec->columns.front().against;
+        });
+    ASSERT_NE(base, points.end());
+    EXPECT_EQ(base->cfg.invalFilter, SystemConfig::baseline().invalFilter);
+    EXPECT_EQ(base->cfg.invalApply, SystemConfig::baseline().invalApply);
+}
+
+TEST(Sweeps, GpuScalingShrinksWorkPerPoint)
+{
+    const auto spec = sweepByName("fig18");
+    ASSERT_TRUE(spec.has_value());
+    for (const SchemePoint &point : spec->points)
+        EXPECT_DOUBLE_EQ(point.work, 4.0 / point.cfg.numGpus)
+            << point.label;
+}
+
+TEST(Sweeps, PrintSweepTabulatesColumns)
+{
+    auto spec = sweepByName("smoke");
+    ASSERT_TRUE(spec.has_value());
+    std::vector<std::vector<SimResults>> grid(
+        spec->points.size(),
+        std::vector<SimResults>(spec->apps.size()));
+    for (std::size_t a = 0; a < spec->apps.size(); ++a) {
+        grid[0][a].execTicks = 400; // baseline
+        grid[1][a].execTicks = 200; // idyll: 2x
+        grid[2][a].execTicks = 100; // zero: 4x
+    }
+    std::ostringstream os;
+    printSweep(os, *spec, grid);
+    const std::string out = os.str();
+    EXPECT_NE(out.find("paper expectation: "), std::string::npos);
+    EXPECT_NE(out.find(spec->title), std::string::npos);
+    const auto ave = out.find("Ave.");
+    ASSERT_NE(ave, std::string::npos);
+    EXPECT_NE(out.find("2.000", ave), std::string::npos);
+    EXPECT_NE(out.find("4.000", ave), std::string::npos);
 }
 
 } // namespace

@@ -204,9 +204,9 @@ main(int argc, char **argv)
         if (opts.digest) {
             // Digest mode: run and print only the final host
             // page-table digest (for faulted-vs-clean comparisons).
-            // Scale the config exactly as runOnce() would so digests
+            // opts.config is already scaled (unless --raw), so digests
             // are comparable with normal runs of the same flags.
-            MultiGpuSystem system(scaledForSim(opts.config));
+            MultiGpuSystem system(opts.config);
             system.run(Workload::byName(opts.app, opts.scale));
             std::cout << "digest 0x" << std::hex
                       << system.translationStateDigest() << std::dec

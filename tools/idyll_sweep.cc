@@ -1,8 +1,9 @@
 /**
  * @file
- * idyll_sweep — the unified sweep driver: run any named figure's
- * (app x scheme) grid on the parallel runner and write
- * results/<figure>.json in the schema README.md documents.
+ * idyll_sweep — the unified sweep tool: run any named table's,
+ * figure's or ablation's (app x point) grid on the parallel runner,
+ * write results/<figure>.json in the schema README.md documents, and
+ * print the paper-shaped table.
  *
  *   idyll_sweep --figure fig11 --jobs 4
  *   idyll_sweep --figure all --out results --scale 0.05
@@ -72,7 +73,7 @@ main(int argc, char **argv)
             for (const SweepSpec &spec : allSweeps()) {
                 std::cout << spec.name << ": " << spec.description
                           << " (" << spec.apps.size() << " apps x "
-                          << spec.schemes.size() << " schemes)\n";
+                          << spec.points.size() << " points)\n";
             }
             for (const ServeSpec &spec : allServeSpecs()) {
                 std::cout << "serve:" << spec.name << ": "
@@ -144,8 +145,8 @@ main(int argc, char **argv)
 
     for (const SweepSpec &spec : specs) {
         const auto start = std::chrono::steady_clock::now();
-        const auto schemes = sweepSchemes(spec);
-        const auto grid = runner.runGrid(spec.apps, schemes, scale);
+        const auto grid =
+            runner.runGrid(spec.apps, spec.points, scale, spec.workload);
         const auto elapsed =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - start);
@@ -157,12 +158,13 @@ main(int argc, char **argv)
             std::cerr << "error: cannot write " << path << "\n";
             return 1;
         }
-        writeSuiteJson(os, spec.name, scale, spec.apps, spec.schemes,
+        writeSuiteJson(os, spec.name, scale, spec.apps, pointLabels(spec),
                        grid);
         std::cout << "  " << spec.name << ": " << spec.apps.size()
-                  << " apps x " << spec.schemes.size() << " schemes -> "
+                  << " apps x " << spec.points.size() << " points -> "
                   << path.string() << " (" << elapsed.count()
                   << " ms)\n";
+        printSweep(std::cout, spec, grid);
     }
 
     for (const ServeSpec &spec : serveSpecs) {

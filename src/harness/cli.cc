@@ -1,7 +1,11 @@
 #include "harness/cli.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -60,57 +64,90 @@ schemeByName(const std::string &name)
 }
 
 std::string
-cliUsage()
+runFlagUsage()
 {
-    return "usage: idyll_sim [--app NAME] [--scheme NAME] [--gpus N]\n"
-           "                 [--cus N] [--walkers N] [--l2tlb N]\n"
-           "                 [--l2-subentry N] [--dead-evict]\n"
-           "                 [--mmu-cache ExW[,ExW...]]\n"
-           "                 [--threshold N] [--page-size 4k|2m]\n"
-           "                 [--irmb BxO] [--dir-bits M] [--scale F]\n"
-           "                 [--jobs N] [--shards N] [--seed N]\n"
-           "                 [--raw] [--stats]\n"
-           "                 [--oracle] [--faults PLAN] [--unplug PLAN]\n"
-           "                 [--retry-timeout N] [--watchdog-events N]\n"
-           "                 [--watchdog-ticks N] [--digest]\n"
-           "                 [--trace CATS] [--trace-out FILE]\n"
-           "                 [--trace-digest] [--latency]\n"
-           "                 [--sample-every N] [--sample-records N]\n"
-           "                 [--sample-out FILE] [--json FILE]\n"
-           "                 [--host-stats] [--progress[=SECS]]\n"
-           "                 [--list-apps] [--help]\n"
-           "                 [--serve] [--serve-window N]\n"
-           "                 [--serve-warmup N] [--serve-windows N]\n"
-           "                 [--storm-every N] [--storm-shift N]\n"
-           "                 [--bench-out FILE]\n"
-           "                 [--chaos SEED,SECONDS] [--chaos-trials N]\n"
-           "                 [--chaos-out FILE]\n"
-           "trace categories: all or csv of "
-           "tlb,irmb,dir,walk,mig,inval,fault,net\n"
-           "schemes: baseline only-lazy only-dir idyll inmem zero\n"
-           "         replication transfw idyll+transfw idyll+dead\n"
-           "         idyll+sub\n"
-           "--mmu-cache sizes the per-level MMU caches from the leaf\n"
-           "(L1) up, e.g. 64x8,32x4,16x4,8x4; the last entry repeats\n"
-           "for deeper levels. --l2-subentry N shares one L2 TLB tag\n"
-           "across N contiguous pages; --dead-evict enables dead-\n"
-           "entry-aware replacement in the L2 TLB and MMU caches\n"
-           "--shards N runs the event core on N shards (1 = serial);\n"
-           "shards take precedence over --jobs: --jobs is clamped so\n"
-           "shards x jobs fits the machine's hardware threads\n";
+    return "  --oracle            enable the translation-coherence oracle\n"
+           "  --faults PLAN       fault-injection plan, e.g.\n"
+           "                      inval.delay=800@0.3,ack.dup@0.2\n"
+           "  --retry-timeout N   re-send unacked invalidations after N\n"
+           "  --watchdog-events N trip after N events with no progress\n"
+           "  --watchdog-ticks N  trip after N ticks with no progress\n"
+           "  --trace CATS        trace \"all\" or a csv of\n"
+           "                      tlb,irmb,dir,walk,mig,inval,fault,net\n"
+           "  --latency           per-request latency scoreboard\n"
+           "  --sample-every N    sample queue depths every N cycles\n"
+           "  --host-stats        record wall-clock dispatch throughput\n";
 }
 
-namespace
+std::string
+cliUsage()
 {
+    return "usage: idyll_sim [FLAG...]\n"
+           "  --app NAME          workload: a Table 3 app or DNN model\n"
+           "  --scheme NAME       baseline only-lazy only-dir idyll inmem\n"
+           "                      zero replication transfw idyll+transfw\n"
+           "                      idyll+dead idyll+sub\n"
+           "  --gpus N            GPU count\n"
+           "  --cus N             CUs per GPU\n"
+           "  --walkers N         page-table walker threads\n"
+           "  --l2tlb N           L2 TLB entries\n"
+           "  --l2-subentry N     share one L2 TLB tag across N pages\n"
+           "  --dead-evict        dead-entry-aware replacement in the L2\n"
+           "                      TLB and MMU caches\n"
+           "  --mmu-cache ExW,... per-level MMU cache sizes from the leaf\n"
+           "                      (L1) up, e.g. 64x8,32x4,16x4,8x4; the\n"
+           "                      last entry repeats for deeper levels\n"
+           "  --threshold N       access counter threshold\n"
+           "  --page-size 4k|2m   page size\n"
+           "  --irmb BxO          IRMB geometry, e.g. 32x16\n"
+           "  --dir-bits M        in-PTE directory bits\n"
+           "  --scale F           per-CU work multiplier\n"
+           "  --jobs N            sweep worker threads (0 = auto)\n"
+           "  --shards N          event-core shards per run (1 = serial);\n"
+           "                      shards take precedence over --jobs:\n"
+           "                      --jobs is clamped so shards x jobs\n"
+           "                      fits the machine's hardware threads\n"
+           "  --seed N            RNG seed\n"
+           "  --raw               do not apply the simulation scaling\n"
+           "  --stats             print extended statistics\n"
+           "  --unplug PLAN       GPU hot-unplug schedule, e.g.\n"
+           "                      g1@60000/140000\n"
+           "  --digest            print the final translation-state digest\n"
+           "  --trace-out FILE    stream JSONL trace events to FILE\n"
+           "  --trace-digest      print the canonical trace digest\n"
+           "                      (implies --trace all unless given)\n"
+           "  --sample-records N  sampler ring capacity (default 4096)\n"
+           "  --sample-out FILE   write the sample ring JSON to FILE\n"
+           "  --progress[=SECS]   status line every SECS (default 5)\n"
+           "  --json FILE         write the full results JSON to FILE\n"
+           "  --serve             windowed steady-state SLO mode\n"
+           "  --serve-window N    measurement window length in cycles\n"
+           "  --serve-warmup N    warmup windows discarded first\n"
+           "  --serve-windows N   measured windows (0 = all)\n"
+           "  --storm-every N     shift the hot set every Nth window\n"
+           "  --storm-shift N     pages per shift (0 = the app's hotPages)\n"
+           "  --bench-out FILE    write the serve BENCH_*.json to FILE\n"
+           "  --chaos SEED,SECS   chaos soak: seeded fault plans, unplugs\n"
+           "                      and storms with the oracle on, until\n"
+           "                      SECS elapse or a trial fails\n"
+           "  --chaos-trials N    cap the soak at N trials (0 = time)\n"
+           "  --chaos-out FILE    write the chaos JSON artifact to FILE\n"
+           "  --list-apps         list workloads and exit\n"
+           "  --help              this text\n"
+           "run flags (idyll_sweep takes them too):\n" +
+           runFlagUsage();
+}
 
 bool
 parseUnsigned(const std::string &text, std::uint64_t &out)
 {
-    if (text.empty())
+    // strtoull alone would skip blanks and wrap a leading '-'.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
         return false;
     char *end = nullptr;
+    errno = 0;
     out = std::strtoull(text.c_str(), &end, 10);
-    return end && *end == '\0';
+    return errno == 0 && end && *end == '\0';
 }
 
 bool
@@ -120,10 +157,75 @@ parseDouble(const std::string &text, double &out)
         return false;
     char *end = nullptr;
     out = std::strtod(text.c_str(), &end);
-    return end && *end == '\0';
+    return end && *end == '\0' && std::isfinite(out);
 }
 
-} // namespace
+void
+applyEdits(const ConfigEdits &edits, SystemConfig &cfg)
+{
+    for (const auto &edit : edits)
+        edit(cfg);
+}
+
+bool
+parseRunFlag(const std::vector<std::string> &args, std::size_t &i,
+             ConfigEdits &edits, std::string &error)
+{
+    const std::string &arg = args[i];
+    const bool hasValue = i + 1 < args.size();
+    std::uint64_t n = 0;
+    auto positive = [&] {
+        if (hasValue && parseUnsigned(args[++i], n) && n)
+            return true;
+        error = arg + " needs a positive integer";
+        return false;
+    };
+    if (arg == "--oracle") {
+        edits.push_back([](SystemConfig &c) { c.integrity.oracle = true; });
+    } else if (arg == "--latency") {
+        edits.push_back([](SystemConfig &c) { c.latency.enabled = true; });
+    } else if (arg == "--host-stats") {
+        edits.push_back([](SystemConfig &c) { c.hostStats = true; });
+    } else if (arg == "--faults") {
+        if (!hasValue)
+            error = "--faults needs a plan, e.g. inval.delay=800@0.3";
+        else
+            edits.push_back([plan = args[++i]](SystemConfig &c) {
+                c.integrity.faultPlan = plan;
+            });
+    } else if (arg == "--trace") {
+        if (!hasValue)
+            error = "--trace needs categories, e.g. all or tlb,irmb,inval";
+        else if (!parseTraceCategories(args[++i]))
+            error = "unknown trace category in '" + args[i] + "'";
+        else
+            edits.push_back([cats = args[i]](SystemConfig &c) {
+                c.trace.categories = cats;
+            });
+    } else if (arg == "--retry-timeout") {
+        if (positive())
+            edits.push_back([n](SystemConfig &c) {
+                c.integrity.invalRetryTimeout = n;
+            });
+    } else if (arg == "--watchdog-events") {
+        if (positive())
+            edits.push_back([n](SystemConfig &c) {
+                c.integrity.watchdogMaxIdleEvents = n;
+            });
+    } else if (arg == "--watchdog-ticks") {
+        if (positive())
+            edits.push_back([n](SystemConfig &c) {
+                c.integrity.watchdogMaxIdleTicks = n;
+            });
+    } else if (arg == "--sample-every") {
+        if (positive())
+            edits.push_back(
+                [n](SystemConfig &c) { c.sampler.everyCycles = n; });
+    } else {
+        return false;
+    }
+    return true;
+}
 
 CliParse
 parseCli(const std::vector<std::string> &args)
@@ -131,47 +233,35 @@ parseCli(const std::vector<std::string> &args)
     CliOptions opts;
     bool raw = false;
     std::string schemeName = "baseline";
+    // Config flags become edits, applied in order once the scheme
+    // preset is resolved.
+    ConfigEdits edits;
+    auto edit = [&edits](auto e) { edits.push_back(std::move(e)); };
 
     auto fail = [](const std::string &msg) {
         return CliParse{std::nullopt, msg, ""};
     };
 
     std::size_t i = 0;
-    auto next = [&](const std::string &flag,
-                    std::string &out) -> bool {
+    std::string value;
+    std::uint64_t n = 0;
+    auto next = [&](std::string &out) {
         if (i + 1 >= args.size())
             return false;
         out = args[++i];
-        (void)flag;
         return true;
     };
-
-    // Deferred overrides so the scheme preset is resolved first.
-    struct Overrides
-    {
-        std::optional<std::uint64_t> gpus, cus, walkers, l2tlb,
-            threshold, dirBits, seed;
-        std::optional<std::uint32_t> pageBits, irmbBases, irmbOffsets;
-        bool oracle = false;
-        std::optional<std::string> faults, unplug;
-        std::optional<std::uint64_t> retryTimeout, wdEvents, wdTicks;
-        std::optional<std::string> trace, traceOut;
-        bool latency = false;
-        bool hostStats = false;
-        std::optional<double> progressSecs;
-        std::optional<std::uint64_t> sampleEvery, sampleRecords;
-        std::optional<std::string> sampleOut;
-        std::optional<std::uint32_t> shards;
-        std::optional<std::uint64_t> l2SubEntries;
-        bool deadEvict = false;
-        std::vector<MmuCacheLevelConfig> mmuCache;
-    } ov;
+    // The flag's value as an unsigned (count) or positive integer, in n.
+    auto count = [&] { return next(value) && parseUnsigned(value, n); };
+    auto positive = [&] { return count() && n > 0; };
 
     for (; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        std::string value;
-        std::uint64_t n = 0;
-        if (arg == "--help") {
+        std::string error;
+        if (parseRunFlag(args, i, edits, error)) {
+            if (!error.empty())
+                return fail(error);
+        } else if (arg == "--help") {
             opts.help = true;
         } else if (arg == "--list-apps") {
             opts.listApps = true;
@@ -180,47 +270,50 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--raw") {
             raw = true;
         } else if (arg == "--app") {
-            if (!next(arg, opts.app))
+            if (!next(opts.app))
                 return fail("--app needs a value");
         } else if (arg == "--scheme") {
-            if (!next(arg, schemeName))
+            if (!next(schemeName))
                 return fail("--scheme needs a value");
         } else if (arg == "--scale") {
-            if (!next(arg, value) || !parseDouble(value, opts.scale) ||
+            if (!next(value) || !parseDouble(value, opts.scale) ||
                 opts.scale <= 0.0)
                 return fail("--scale needs a positive number");
         } else if (arg == "--jobs") {
-            if (!next(arg, value) || !parseUnsigned(value, n))
+            if (!count() || n > std::numeric_limits<unsigned>::max())
                 return fail("--jobs needs a non-negative integer");
             opts.jobs = static_cast<unsigned>(n);
         } else if (arg == "--shards") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
+            if (!positive())
                 return fail("--shards needs a positive integer");
-            ov.shards = static_cast<std::uint32_t>(n);
+            edit([n](SystemConfig &c) { c.shards = n; });
         } else if (arg == "--gpus") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
+            if (!positive())
                 return fail("--gpus needs a positive integer");
-            ov.gpus = n;
+            edit([n](SystemConfig &c) { c.numGpus = n; });
         } else if (arg == "--cus") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
+            if (!positive())
                 return fail("--cus needs a positive integer");
-            ov.cus = n;
+            edit([n](SystemConfig &c) { c.cusPerGpu = n; });
         } else if (arg == "--walkers") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
+            if (!positive())
                 return fail("--walkers needs a positive integer");
-            ov.walkers = n;
+            edit([n](SystemConfig &c) { c.gmmu.walkerThreads = n; });
         } else if (arg == "--l2tlb") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
+            if (!positive())
                 return fail("--l2tlb needs a positive integer");
-            ov.l2tlb = n;
+            edit([n](SystemConfig &c) { c.l2Tlb.entries = n; });
         } else if (arg == "--l2-subentry") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
+            if (!positive())
                 return fail("--l2-subentry needs a positive integer");
-            ov.l2SubEntries = n;
+            edit([n](SystemConfig &c) { c.l2Tlb.subEntries = n; });
         } else if (arg == "--dead-evict") {
-            ov.deadEvict = true;
+            edit([](SystemConfig &c) {
+                c.l2Tlb.deadEntryEviction = true;
+                c.gmmu.deadEntryEviction = true;
+            });
         } else if (arg == "--mmu-cache") {
-            if (!next(arg, value))
+            if (!next(value))
                 return fail("--mmu-cache needs ExW[,ExW...], e.g. "
                             "64x8,32x4,16x4,8x4");
             std::vector<MmuCacheLevelConfig> levels;
@@ -240,49 +333,38 @@ parseCli(const std::vector<std::string> &args)
             }
             if (levels.empty())
                 return fail("--mmu-cache needs at least one ExW level");
-            ov.mmuCache = std::move(levels);
+            edit([levels](SystemConfig &c) { c.gmmu.mmuCache = levels; });
         } else if (arg == "--threshold") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
+            if (!positive())
                 return fail("--threshold needs a positive integer");
-            ov.threshold = n;
+            edit([n](SystemConfig &c) { c.accessCounterThreshold = n; });
         } else if (arg == "--dir-bits") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
+            if (!positive())
                 return fail("--dir-bits needs a positive integer");
-            ov.dirBits = n;
+            edit([n](SystemConfig &c) { c.directoryBits = n; });
         } else if (arg == "--seed") {
-            if (!next(arg, value) || !parseUnsigned(value, n))
+            if (!count())
                 return fail("--seed needs an integer");
-            ov.seed = n;
+            edit([n](SystemConfig &c) { c.seed = n; });
         } else if (arg == "--page-size") {
-            if (!next(arg, value))
+            if (!next(value))
                 return fail("--page-size needs 4k or 2m");
+            std::uint32_t bits = 0;
             if (value == "4k" || value == "4K")
-                ov.pageBits = 12;
+                bits = 12;
             else if (value == "2m" || value == "2M")
-                ov.pageBits = 21;
+                bits = 21;
             else
                 return fail("--page-size must be 4k or 2m");
-        } else if (arg == "--oracle") {
-            ov.oracle = true;
+            edit([bits](SystemConfig &c) { c.pageBits = bits; });
         } else if (arg == "--digest") {
             opts.digest = true;
-        } else if (arg == "--trace") {
-            if (!next(arg, value))
-                return fail("--trace needs categories, e.g. all or "
-                            "tlb,irmb,inval");
-            if (!parseTraceCategories(value))
-                return fail("unknown trace category in '" + value + "'");
-            ov.trace = value;
         } else if (arg == "--trace-out") {
-            if (!next(arg, value))
+            if (!next(value))
                 return fail("--trace-out needs a file path");
-            ov.traceOut = value;
+            edit([value](SystemConfig &c) { c.trace.jsonlPath = value; });
         } else if (arg == "--trace-digest") {
             opts.traceDigest = true;
-        } else if (arg == "--latency") {
-            ov.latency = true;
-        } else if (arg == "--host-stats") {
-            ov.hostStats = true;
         } else if (arg == "--progress" ||
                    arg.rfind("--progress=", 0) == 0) {
             double secs = 5.0;
@@ -291,59 +373,52 @@ parseCli(const std::vector<std::string> &args)
                     return fail("--progress=SECS needs a positive "
                                 "number");
             }
-            ov.progressSecs = secs;
-        } else if (arg == "--sample-every") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
-                return fail("--sample-every needs a positive integer");
-            ov.sampleEvery = n;
+            edit([secs](SystemConfig &c) { c.progressSecs = secs; });
         } else if (arg == "--sample-records") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
+            if (!positive())
                 return fail("--sample-records needs a positive integer");
-            ov.sampleRecords = n;
+            edit([n](SystemConfig &c) { c.sampler.maxRecords = n; });
         } else if (arg == "--sample-out") {
-            if (!next(arg, value))
+            if (!next(value))
                 return fail("--sample-out needs a file path");
-            ov.sampleOut = value;
+            edit([value](SystemConfig &c) { c.sampler.jsonPath = value; });
         } else if (arg == "--json") {
-            if (!next(arg, opts.jsonOut))
+            if (!next(opts.jsonOut))
                 return fail("--json needs a file path");
         } else if (arg == "--serve") {
             opts.serve = true;
         } else if (arg == "--serve-window") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
+            if (!positive())
                 return fail("--serve-window needs a positive integer");
             opts.serveWindow = n;
         } else if (arg == "--serve-warmup") {
-            if (!next(arg, value) || !parseUnsigned(value, n))
+            if (!count())
                 return fail("--serve-warmup needs an integer");
             opts.serveWarmup = static_cast<std::uint32_t>(n);
         } else if (arg == "--serve-windows") {
-            if (!next(arg, value) || !parseUnsigned(value, n))
+            if (!count())
                 return fail("--serve-windows needs an integer");
             opts.serveWindows = static_cast<std::uint32_t>(n);
         } else if (arg == "--storm-every") {
-            if (!next(arg, value) || !parseUnsigned(value, n))
+            if (!count())
                 return fail("--storm-every needs an integer");
             opts.stormEvery = static_cast<std::uint32_t>(n);
         } else if (arg == "--storm-shift") {
-            if (!next(arg, value) || !parseUnsigned(value, n))
+            if (!count())
                 return fail("--storm-shift needs an integer");
             opts.stormShift = n;
         } else if (arg == "--bench-out") {
-            if (!next(arg, opts.benchOut))
+            if (!next(opts.benchOut))
                 return fail("--bench-out needs a file path");
-        } else if (arg == "--faults") {
-            if (!next(arg, value))
-                return fail("--faults needs a plan, e.g. "
-                            "inval.delay=800@0.3");
-            ov.faults = value;
         } else if (arg == "--unplug") {
-            if (!next(arg, value))
+            if (!next(value))
                 return fail("--unplug needs a plan, e.g. "
                             "g1@60000/140000");
-            ov.unplug = value;
+            edit([value](SystemConfig &c) {
+                c.integrity.unplugPlan = value;
+            });
         } else if (arg == "--chaos") {
-            if (!next(arg, value))
+            if (!next(value))
                 return fail("--chaos needs SEED,SECONDS, e.g. 7,60");
             const auto comma = value.find(',');
             std::uint64_t s = 0;
@@ -356,26 +431,14 @@ parseCli(const std::vector<std::string> &args)
             opts.chaosSeed = s;
             opts.chaosSeconds = d;
         } else if (arg == "--chaos-trials") {
-            if (!next(arg, value) || !parseUnsigned(value, n))
+            if (!count())
                 return fail("--chaos-trials needs an integer");
             opts.chaosTrials = n;
         } else if (arg == "--chaos-out") {
-            if (!next(arg, opts.chaosOut))
+            if (!next(opts.chaosOut))
                 return fail("--chaos-out needs a file path");
-        } else if (arg == "--retry-timeout") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
-                return fail("--retry-timeout needs a positive integer");
-            ov.retryTimeout = n;
-        } else if (arg == "--watchdog-events") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
-                return fail("--watchdog-events needs a positive integer");
-            ov.wdEvents = n;
-        } else if (arg == "--watchdog-ticks") {
-            if (!next(arg, value) || !parseUnsigned(value, n) || !n)
-                return fail("--watchdog-ticks needs a positive integer");
-            ov.wdTicks = n;
         } else if (arg == "--irmb") {
-            if (!next(arg, value))
+            if (!next(value))
                 return fail("--irmb needs BxO, e.g. 32x16");
             const auto x = value.find('x');
             std::uint64_t b = 0, o = 0;
@@ -383,8 +446,10 @@ parseCli(const std::vector<std::string> &args)
                 !parseUnsigned(value.substr(0, x), b) ||
                 !parseUnsigned(value.substr(x + 1), o) || !b || !o)
                 return fail("--irmb needs BxO, e.g. 32x16");
-            ov.irmbBases = static_cast<std::uint32_t>(b);
-            ov.irmbOffsets = static_cast<std::uint32_t>(o);
+            edit([b, o](SystemConfig &c) {
+                c.irmb.bases = b;
+                c.irmb.offsetsPerBase = o;
+            });
         } else {
             return fail("unknown argument '" + arg + "'");
         }
@@ -395,74 +460,9 @@ parseCli(const std::vector<std::string> &args)
         return fail("unknown scheme '" + schemeName + "'");
     opts.scheme = schemeName;
     opts.config = raw ? *preset : scaledForSim(*preset);
-
-    if (ov.gpus)
-        opts.config.numGpus = static_cast<std::uint32_t>(*ov.gpus);
-    if (ov.cus)
-        opts.config.cusPerGpu = static_cast<std::uint32_t>(*ov.cus);
-    if (ov.walkers)
-        opts.config.gmmu.walkerThreads =
-            static_cast<std::uint32_t>(*ov.walkers);
-    if (ov.l2tlb)
-        opts.config.l2Tlb.entries =
-            static_cast<std::uint32_t>(*ov.l2tlb);
-    if (ov.l2SubEntries)
-        opts.config.l2Tlb.subEntries =
-            static_cast<std::uint32_t>(*ov.l2SubEntries);
-    if (ov.deadEvict) {
-        opts.config.l2Tlb.deadEntryEviction = true;
-        opts.config.gmmu.deadEntryEviction = true;
-    }
-    if (!ov.mmuCache.empty())
-        opts.config.gmmu.mmuCache = std::move(ov.mmuCache);
-    if (ov.threshold)
-        opts.config.accessCounterThreshold =
-            static_cast<std::uint32_t>(*ov.threshold);
-    if (ov.dirBits)
-        opts.config.directoryBits =
-            static_cast<std::uint32_t>(*ov.dirBits);
-    if (ov.seed)
-        opts.config.seed = *ov.seed;
-    if (ov.shards)
-        opts.config.shards = *ov.shards;
-    if (ov.pageBits)
-        opts.config.pageBits = *ov.pageBits;
-    if (ov.irmbBases) {
-        opts.config.irmb.bases = *ov.irmbBases;
-        opts.config.irmb.offsetsPerBase = *ov.irmbOffsets;
-    }
-    if (ov.oracle)
-        opts.config.integrity.oracle = true;
-    if (ov.faults)
-        opts.config.integrity.faultPlan = *ov.faults;
-    if (ov.unplug)
-        opts.config.integrity.unplugPlan = *ov.unplug;
-    if (ov.retryTimeout)
-        opts.config.integrity.invalRetryTimeout = *ov.retryTimeout;
-    if (ov.wdEvents)
-        opts.config.integrity.watchdogMaxIdleEvents = *ov.wdEvents;
-    if (ov.wdTicks)
-        opts.config.integrity.watchdogMaxIdleTicks = *ov.wdTicks;
-    if (ov.trace)
-        opts.config.trace.categories = *ov.trace;
-    if (ov.traceOut)
-        opts.config.trace.jsonlPath = *ov.traceOut;
+    applyEdits(edits, opts.config);
     if (opts.traceDigest && opts.config.trace.categories.empty())
         opts.config.trace.categories = "all";
-    if (ov.latency)
-        opts.config.latency.enabled = true;
-    if (ov.hostStats)
-        opts.config.hostStats = true;
-    if (ov.progressSecs)
-        opts.config.progressSecs = *ov.progressSecs;
-    if (ov.sampleEvery)
-        opts.config.sampler.everyCycles = *ov.sampleEvery;
-    if (ov.sampleRecords)
-        opts.config.sampler.maxRecords =
-            static_cast<std::uint32_t>(*ov.sampleRecords);
-    if (ov.sampleOut)
-        opts.config.sampler.jsonPath = *ov.sampleOut;
-
     if (opts.config.l2Tlb.entries % opts.config.l2Tlb.ways != 0)
         opts.config.l2Tlb.ways = 1; // keep arbitrary sizes legal
 
@@ -488,6 +488,10 @@ parseCli(const std::vector<std::string> &args)
                       "thread(s)";
         }
     }
+
+    const std::string advisory = opts.config.advisory();
+    if (!advisory.empty())
+        warning += (warning.empty() ? "" : "; ") + advisory;
 
     return CliParse{opts, "", warning};
 }

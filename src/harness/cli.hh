@@ -8,6 +8,7 @@
 #ifndef IDYLL_HARNESS_CLI_HH
 #define IDYLL_HARNESS_CLI_HH
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,6 +17,33 @@
 
 namespace idyll
 {
+
+/**
+ * Config changes parsed from flags, in command-line order. They are
+ * kept apart from any one config, so idyll_sim can apply them once
+ * its scheme preset is resolved and idyll_sweep to every point.
+ */
+using ConfigEdits = std::vector<std::function<void(SystemConfig &)>>;
+
+/** Apply @p edits to @p cfg, in order. */
+void applyEdits(const ConfigEdits &edits, SystemConfig &cfg);
+
+/**
+ * Parse args[i] if it is one of the shared run flags (runFlagUsage()
+ * lists them). On a match, @p i moves to the flag's last argument and
+ * the result is true; @p error is set when the value is missing or
+ * malformed. Any other argument returns false and changes nothing.
+ */
+bool parseRunFlag(const std::vector<std::string> &args, std::size_t &i,
+                  ConfigEdits &edits, std::string &error);
+
+/**
+ * Checked number parsing for flag values: the whole text must be one
+ * decimal number (no sign on @p parseUnsigned, finite for
+ * @p parseDouble), or the result is false.
+ */
+bool parseUnsigned(const std::string &text, std::uint64_t &out);
+bool parseDouble(const std::string &text, double &out);
 
 /** Parsed command line. */
 struct CliOptions
@@ -57,73 +85,23 @@ struct CliParse
     std::optional<CliOptions> options;
     std::string error;
 
-    /** Non-fatal advisory (e.g. --jobs clamped for --shards). */
+    /**
+     * Non-fatal advisory (e.g. --jobs clamped for --shards, or the
+     * config's own SystemConfig::advisory()).
+     */
     std::string warning;
 
     bool ok() const { return options.has_value(); }
 };
 
-/**
- * Parse argv-style arguments.
- *
- * Recognized flags:
- *   --app NAME          workload (Table 3 abbreviation or DNN model)
- *   --scheme NAME       baseline|only-lazy|only-dir|idyll|inmem|zero|
- *                       replication|transfw
- *   --gpus N            GPU count
- *   --cus N             CUs per GPU
- *   --walkers N         page-table walker threads
- *   --l2tlb N           L2 TLB entries
- *   --threshold N       access counter threshold (unscaled)
- *   --page-size 4k|2m   page size
- *   --irmb BxO          IRMB geometry, e.g. 32x16
- *   --dir-bits M        in-PTE directory bits
- *   --scale F           per-CU work multiplier
- *   --jobs N            sweep worker threads (0 = auto)
- *   --shards N          event-core shards per run (1 = serial). Shards
- *                       take precedence over --jobs: when shards * jobs
- *                       would oversubscribe the machine, jobs is
- *                       clamped (see clampJobsForShards)
- *   --seed N            RNG seed
- *   --raw               do NOT apply the simulation scaling
- *   --stats             print extended statistics
- *   --oracle            enable the translation-coherence oracle
- *   --faults PLAN       fault-injection plan (see README)
- *   --unplug PLAN       GPU hot-unplug schedule, e.g. g1@60000/140000
- *   --retry-timeout N   driver re-sends unacked invalidations after N
- *   --watchdog-events N trip after N events with no forward progress
- *   --watchdog-ticks N  trip after N ticks with no forward progress
- *   --digest            print the final translation-state digest
- *   --trace CATS        enable tracing: "all" or csv of
- *                       tlb,irmb,dir,walk,mig,inval,fault,net
- *   --trace-out FILE    stream JSONL trace events to FILE
- *   --trace-digest      print the canonical trace digest (implies
- *                       --trace all unless --trace was given)
- *   --latency           enable the per-request latency scoreboard
- *   --sample-every N    sample queue depths every N cycles
- *   --sample-records N  interval-sampler ring capacity (default 4096)
- *   --sample-out FILE   write the sample ring JSON to FILE
- *   --json FILE         write the run's full results JSON to FILE
- *   --serve             windowed steady-state SLO mode (serve.hh)
- *   --serve-window N    measurement window length in cycles
- *   --serve-warmup N    warmup windows discarded before measuring
- *   --serve-windows N   measured windows before free drain (0 = all)
- *   --storm-every N     shift the hot set every Nth window (0 = off)
- *   --storm-shift N     pages per hot-set shift (0 = the app's hotPages)
- *   --bench-out FILE    write the serve BENCH_*.json artifact to FILE
- *   --chaos SEED,SECONDS  run a chaos soak campaign: seeded random
- *                       fault plans + unplug schedules + storms with
- *                       the oracle on, until SECONDS elapse or a
- *                       trial fails (then the failure is minimized)
- *   --chaos-trials N    cap the campaign at N trials (0 = time bound)
- *   --chaos-out FILE    write the chaos JSON artifact to FILE
- *   --list-apps         list workloads and exit
- *   --help              usage
- */
+/** Parse argv-style arguments: the flags cliUsage() lists. */
 CliParse parseCli(const std::vector<std::string> &args);
 
-/** The usage text for --help / errors. */
+/** The usage text for --help / errors: one line per flag. */
 std::string cliUsage();
+
+/** cliUsage()'s lines for the shared run flags (see parseRunFlag). */
+std::string runFlagUsage();
 
 /**
  * Compose --shards with --jobs: shards win. Each sweep job runs its

@@ -23,10 +23,8 @@ namespace idyll
 /**
  * Resolve a job-count request to a concrete worker count.
  *
- * @p requested of 0 means "auto": use the IDYLL_JOBS environment
- * variable if set to a positive integer, otherwise
- * std::thread::hardware_concurrency() (with a floor of 1). Any
- * positive @p requested wins over both.
+ * @p requested of 0 means "auto": std::thread::hardware_concurrency()
+ * (with a floor of 1). Any positive @p requested is used as is.
  */
 unsigned resolveJobs(unsigned requested = 0);
 
@@ -42,7 +40,7 @@ unsigned resolveJobs(unsigned requested = 0);
 class ParallelRunner
 {
   public:
-    /** @p jobs 0 = auto (IDYLL_JOBS, then hardware concurrency). */
+    /** @p jobs 0 = auto (hardware concurrency). */
     explicit ParallelRunner(unsigned jobs = 0);
 
     /** The resolved worker count. */

@@ -38,22 +38,15 @@ using WorkloadFn = Workload (*)(const std::string &app, double scale);
 
 /**
  * Run every app under every scheme, fanning the grid out across a
- * worker pool (see harness/parallel.hh). @p jobs 0 = auto (the
- * IDYLL_JOBS environment variable, then hardware concurrency);
- * @p jobs 1 forces a serial run. Output is bit-identical for every
- * job count. Results are indexed [scheme][app] in the given orders.
+ * worker pool (see harness/parallel.hh). @p jobs 0 = auto (hardware
+ * concurrency); @p jobs 1 forces a serial run. Output is
+ * bit-identical for every job count. Results are indexed
+ * [scheme][app] in the given orders.
  */
 std::vector<std::vector<SimResults>>
 runSuite(const std::vector<std::string> &apps,
          const std::vector<SchemePoint> &schemes, double scale = 1.0,
          unsigned jobs = 0);
-
-/**
- * Default workload scale for sweeps and benches. Override with the
- * IDYLL_BENCH_SCALE environment variable to trade runtime for
- * statistical weight.
- */
-double benchScale();
 
 /**
  * The simulated runs are ~10^3 times shorter than the real

@@ -374,8 +374,8 @@ serveSpecByName(const std::string &name)
     return std::nullopt;
 }
 
-ServeReport
-runServeSpec(const ServeSpec &spec)
+SystemConfig
+serveSpecConfig(const ServeSpec &spec)
 {
     auto preset = schemeByName(spec.scheme);
     if (!preset)
@@ -385,7 +385,7 @@ runServeSpec(const ServeSpec &spec)
     if (spec.gpus)
         cfg.numGpus = spec.gpus;
     cfg.hostStats = true; // the artifact folds in events/sec
-    return runServe(spec.app, cfg, spec.scale, spec.params);
+    return cfg;
 }
 
 } // namespace idyll

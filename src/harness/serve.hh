@@ -205,10 +205,11 @@ const std::vector<ServeSpec> &allServeSpecs();
 std::optional<ServeSpec> serveSpecByName(const std::string &name);
 
 /**
- * Resolve @p spec (scheme name -> simulation-scaled config, host
- * stats on) and run it. fatal() on an unknown scheme name.
+ * Resolve @p spec's scheme name to its simulation-scaled config, with
+ * its GPU count and host stats on, for runServe(). fatal() on an
+ * unknown scheme name.
  */
-ServeReport runServeSpec(const ServeSpec &spec);
+SystemConfig serveSpecConfig(const ServeSpec &spec);
 
 } // namespace idyll
 

@@ -738,12 +738,11 @@ columnValue(const SweepColumn &col, const SimResults &r,
 
 } // namespace
 
-std::vector<SweepSpec>
+const std::vector<SweepSpec> &
 allSweeps()
 {
-    // Rebuilt per call: scaledForSim() reads the integrity and
-    // observability environment knobs when the points are made.
-    return makeRegistry();
+    static const std::vector<SweepSpec> registry = makeRegistry();
+    return registry;
 }
 
 std::vector<std::string>
@@ -758,9 +757,9 @@ sweepNames()
 std::optional<SweepSpec>
 sweepByName(const std::string &name)
 {
-    for (SweepSpec &spec : allSweeps())
+    for (const SweepSpec &spec : allSweeps())
         if (spec.name == name)
-            return std::move(spec);
+            return spec;
     return std::nullopt;
 }
 

@@ -65,7 +65,7 @@ struct SweepSpec
 };
 
 /** Every registered sweep, in paper order. */
-std::vector<SweepSpec> allSweeps();
+const std::vector<SweepSpec> &allSweeps();
 
 /** The registered sweep names, in paper order. */
 std::vector<std::string> sweepNames();

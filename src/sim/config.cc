@@ -4,7 +4,6 @@
 
 #include "sim/fault_domain.hh"
 #include "sim/integrity.hh"
-#include "sim/logging.hh"
 #include "sim/trace.hh"
 
 namespace idyll
@@ -168,16 +167,22 @@ SystemConfig::check() const
                           "requester");
     }
 
+    return bad;
+}
+
+std::string
+SystemConfig::advisory() const
+{
     // Legal but suspicious: with fewer directory hash buckets than
     // GPUs, h(gpu) = gpu % m must alias, so the in-PTE directory
     // over-invalidates on every collision.
     if (invalFilter == InvalFilter::InPteDirectory &&
         directoryBits < numGpus) {
-        warn("directoryBits (", directoryBits, ") < numGpus (", numGpus,
-             "); in-PTE directory will alias GPUs and over-invalidate");
+        return "directoryBits (" + std::to_string(directoryBits) +
+               ") < numGpus (" + std::to_string(numGpus) +
+               "); in-PTE directory will alias GPUs and over-invalidate";
     }
-
-    return bad;
+    return "";
 }
 
 void

@@ -350,10 +350,13 @@ struct SystemConfig
 
     /**
      * Collect every violated cross-field constraint. Empty means the
-     * configuration is usable. Also emits (non-fatal) warnings for
-     * suspicious-but-legal settings.
+     * configuration is usable. Pure: suspicious-but-legal settings
+     * are reported by advisory(), for the caller to print.
      */
     std::vector<std::string> check() const;
+
+    /** One line on a legal but suspicious setting; "" when none. */
+    std::string advisory() const;
 
     /** @throws ConfigError listing all violations when check() fails. */
     void validate() const;

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <tuple>
+
 #include "harness/cli.hh"
+#include "harness/parallel.hh"
 #include "harness/runner.hh"
 
 namespace idyll
@@ -88,6 +92,7 @@ TEST(Cli, FlagsAndErrors)
     EXPECT_FALSE(parseCli({"--gpus"}).ok());       // missing value
     EXPECT_FALSE(parseCli({"--gpus", "zero"}).ok());
     EXPECT_FALSE(parseCli({"--scale", "-1"}).ok());
+    EXPECT_FALSE(parseCli({"--scale", "nan"}).ok());
 }
 
 TEST(Cli, JobsFlag)
@@ -97,6 +102,9 @@ TEST(Cli, JobsFlag)
     EXPECT_EQ(mustParse({"--jobs", "0"}).jobs, 0u);
     EXPECT_FALSE(parseCli({"--jobs"}).ok());
     EXPECT_FALSE(parseCli({"--jobs", "many"}).ok());
+    EXPECT_FALSE(parseCli({"--jobs", "-1"}).ok()); // no wrap-around
+    EXPECT_FALSE(parseCli({"--jobs", "4294967296"}).ok()); // > unsigned
+    EXPECT_FALSE(parseCli({"--jobs", "99999999999999999999"}).ok());
 }
 
 TEST(Cli, ShardsFlag)
@@ -173,6 +181,78 @@ TEST(Cli, TraceFlags)
     EXPECT_EQ(mustParse({"--trace-digest", "--trace", "irmb"})
                   .config.trace.categories,
               "irmb");
+}
+
+/** The config fields the shared run flags set, in flag order. */
+auto
+runFields(const SystemConfig &c)
+{
+    return std::make_tuple(c.integrity.oracle, c.integrity.faultPlan,
+                           c.integrity.invalRetryTimeout,
+                           c.integrity.watchdogMaxIdleEvents,
+                           c.integrity.watchdogMaxIdleTicks,
+                           c.trace.categories, c.latency.enabled,
+                           c.sampler.everyCycles, c.hostStats);
+}
+
+TEST(Cli, RunFlagsParseAndApply)
+{
+    const std::vector<std::string> args = {
+        "--oracle", "--faults", "ack.dup@0.2", "--retry-timeout", "7",
+        "--watchdog-events", "8", "--watchdog-ticks", "9", "--trace",
+        "tlb", "--latency", "--sample-every", "10", "--host-stats"};
+    EXPECT_EQ(runFields(mustParse(args).config),
+              std::make_tuple(true, std::string("ack.dup@0.2"), 7u, 8u,
+                              9u, std::string("tlb"), true, 10u, true));
+
+    // The shared parser alone consumes exactly its flags.
+    ConfigEdits edits;
+    std::string error;
+    for (std::size_t i = 0; i < args.size(); ++i)
+        ASSERT_TRUE(parseRunFlag(args, i, edits, error)) << args[i];
+    EXPECT_TRUE(error.empty());
+    SystemConfig cfg;
+    applyEdits(edits, cfg);
+    EXPECT_EQ(runFields(cfg), runFields(mustParse(args).config));
+    std::size_t i = 0;
+    EXPECT_FALSE(parseRunFlag({"--figure"}, i, edits, error));
+
+    EXPECT_FALSE(parseCli({"--watchdog-ticks", "0"}).ok());
+    EXPECT_FALSE(parseCli({"--faults"}).ok()); // missing value
+}
+
+TEST(Cli, EnvironmentDoesNotReachTheConfig)
+{
+    const std::vector<std::string> args = {"--scheme", "idyll"};
+    const CliOptions clean = mustParse(args);
+    const SystemConfig cleanScaled = scaledForSim(SystemConfig{});
+    const unsigned cleanJobs = resolveJobs(0);
+
+    // Flags are the only channel: none of these may change a run.
+    const char *const env[] = {
+        "IDYLL_ORACLE", "IDYLL_FAULTS", "IDYLL_INVAL_RETRY",
+        "IDYLL_WATCHDOG_EVENTS", "IDYLL_WATCHDOG_TICKS", "IDYLL_TRACE",
+        "IDYLL_LATENCY", "IDYLL_SAMPLE_EVERY", "IDYLL_HOST_STATS",
+        "IDYLL_BENCH_SCALE", "IDYLL_JOBS"};
+    for (const char *name : env)
+        setenv(name, "7", 1);
+    const CliOptions opts = mustParse(args);
+    EXPECT_EQ(runFields(opts.config), runFields(clean.config));
+    EXPECT_EQ(runFields(scaledForSim(SystemConfig{})),
+              runFields(cleanScaled));
+    EXPECT_DOUBLE_EQ(opts.scale, clean.scale);
+    EXPECT_EQ(opts.jobs, clean.jobs);
+    EXPECT_EQ(resolveJobs(0), cleanJobs);
+    for (const char *name : env)
+        unsetenv(name);
+}
+
+TEST(Cli, DirectoryAliasingIsAnAdvisory)
+{
+    CliParse parsed = parseCli({"--scheme", "idyll", "--gpus", "16"});
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.warning.rfind("directoryBits (11) < numGpus (16)", 0),
+              0u);
 }
 
 TEST(Cli, OddL2TlbSizesRemainValid)

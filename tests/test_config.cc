@@ -176,6 +176,11 @@ TEST(Config, SmallDirectoryWarnsButValidates)
     cfg.numGpus = 8;
     cfg.directoryBits = 4; // aliases GPUs; legal but lossy
     EXPECT_NO_THROW(cfg.validate());
+    EXPECT_EQ(cfg.advisory(),
+              "directoryBits (4) < numGpus (8); in-PTE directory will "
+              "alias GPUs and over-invalidate");
+    cfg.directoryBits = 8;
+    EXPECT_TRUE(cfg.advisory().empty());
 }
 
 } // namespace

@@ -266,7 +266,8 @@ TEST(DegradedServe, PresetReportsRecoveryAndPhasedTails)
     spec->params.warmupWindows = 1;
     spec->params.windowCycles = 10000;
     spec->params.maxWindows = 8;
-    const ServeReport report = runServeSpec(*spec);
+    const ServeReport report = runServe(spec->app, serveSpecConfig(*spec),
+                                        spec->scale, spec->params);
 
     EXPECT_EQ(report.unplugs, 1u);
     EXPECT_GT(report.recoveryTimeCycles, 0u);

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "sim/config.hh"
@@ -40,23 +38,11 @@ tinySchemes()
 
 TEST(ResolveJobs, ExplicitRequestWins)
 {
-    setenv("IDYLL_JOBS", "7", 1);
     EXPECT_EQ(resolveJobs(3), 3u);
-    unsetenv("IDYLL_JOBS");
-}
-
-TEST(ResolveJobs, EnvironmentOverridesAuto)
-{
-    setenv("IDYLL_JOBS", "7", 1);
-    EXPECT_EQ(resolveJobs(0), 7u);
-    setenv("IDYLL_JOBS", "bogus", 1);
-    EXPECT_GE(resolveJobs(0), 1u); // falls back to hardware
-    unsetenv("IDYLL_JOBS");
 }
 
 TEST(ResolveJobs, AutoIsAtLeastOne)
 {
-    unsetenv("IDYLL_JOBS");
     EXPECT_GE(resolveJobs(0), 1u);
 }
 

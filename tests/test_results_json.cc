@@ -175,6 +175,14 @@ TEST(Sweeps, ColumnsMeasureRegisteredPoints)
     }
 }
 
+TEST(Sweeps, EveryPointValidates)
+{
+    for (const SweepSpec &spec : allSweeps())
+        for (const SchemePoint &point : spec.points)
+            EXPECT_TRUE(point.cfg.check().empty())
+                << spec.name << "/" << point.label;
+}
+
 TEST(Sweeps, SmokeSweepIsCiSized)
 {
     const auto spec = sweepByName("smoke");

@@ -7,18 +7,24 @@
  *
  *   idyll_sweep --figure fig11 --jobs 4
  *   idyll_sweep --figure all --out results --scale 0.05
+ *   idyll_sweep --figure smoke --oracle --faults ack.dup@0.2
  *
- * IDYLL_BENCH_SCALE and IDYLL_JOBS are honored like everywhere else
- * in the harness; --scale / --jobs win over both.
+ * idyll_sim's integrity and observability flags (parseRunFlag) apply
+ * to every point of every requested sweep and serve preset. Every
+ * resulting config is checked before the first run starts.
  */
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "harness/cli.hh"
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "harness/serve.hh"
@@ -28,19 +34,21 @@
 namespace
 {
 
-const char *kUsage =
+const std::string kUsage =
     "usage: idyll_sweep [--figure NAME|all] [--serve NAME] [--out DIR]\n"
     "                   [--scale F] [--jobs N] [--list] [--help]\n"
+    "                   [RUN FLAG...]\n"
     "  --figure NAME   sweep to run (repeatable; 'all' = every sweep)\n"
     "  --serve NAME    serve preset to run (repeatable; writes\n"
     "                  BENCH_serve.json, or BENCH_serve_<name>.json\n"
     "                  when several presets are requested)\n"
     "  --out DIR       output directory (default: results)\n"
-    "  --scale F       per-CU work multiplier\n"
-    "                  (default: IDYLL_BENCH_SCALE or 1.0)\n"
-    "  --jobs N        worker threads (default: IDYLL_JOBS, then\n"
-    "                  hardware concurrency)\n"
-    "  --list          list sweeps and serve presets, then exit\n";
+    "  --scale F       per-CU work multiplier (default: 1.0)\n"
+    "  --jobs N        worker threads (default 0: hardware concurrency)\n"
+    "  --list          list sweeps and serve presets, then exit\n"
+    "run flags (idyll_sim's own; they apply to every point and serve\n"
+    "preset):\n" +
+    idyll::runFlagUsage();
 
 } // namespace
 
@@ -52,8 +60,9 @@ main(int argc, char **argv)
     std::vector<std::string> figures;
     std::vector<std::string> serves;
     std::string outDir = "results";
-    double scale = benchScale();
+    double scale = 1.0;
     unsigned jobs = 0;
+    ConfigEdits runFlags;
 
     const std::vector<std::string> args(argv + 1, argv + argc);
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -66,7 +75,13 @@ main(int argc, char **argv)
             }
             return args[++i];
         };
-        if (arg == "--help") {
+        std::string error;
+        if (parseRunFlag(args, i, runFlags, error)) {
+            if (!error.empty()) {
+                std::cerr << "error: " << error << "\n" << kUsage;
+                return 2;
+            }
+        } else if (arg == "--help") {
             std::cout << kUsage;
             return 0;
         } else if (arg == "--list") {
@@ -87,14 +102,19 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             outDir = value("--out");
         } else if (arg == "--scale") {
-            scale = std::atof(value("--scale").c_str());
-            if (scale <= 0.0) {
+            if (!parseDouble(value("--scale"), scale) || scale <= 0.0) {
                 std::cerr << "error: --scale needs a positive number\n";
                 return 2;
             }
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::atoi(value("--jobs").c_str()));
+            std::uint64_t n = 0;
+            if (!parseUnsigned(value("--jobs"), n) ||
+                n > std::numeric_limits<unsigned>::max()) {
+                std::cerr << "error: --jobs needs a non-negative "
+                             "integer\n";
+                return 2;
+            }
+            jobs = static_cast<unsigned>(n);
         } else {
             std::cerr << "error: unknown argument '" << arg << "'\n"
                       << kUsage;
@@ -111,6 +131,24 @@ main(int argc, char **argv)
     if (figures.size() == 1 && figures.front() == "all")
         figures = sweepNames();
 
+    // Apply the run flags, then check every config before the first
+    // run starts: a bad value fails here with the config's own
+    // message, and each distinct advisory prints once, not per run.
+    std::set<std::string> advisories;
+    auto vet = [&](const std::string &where, SystemConfig &cfg) {
+        applyEdits(runFlags, cfg);
+        std::vector<std::string> bad = cfg.check();
+        if (!bad.empty()) {
+            std::cerr << "error: " << where << ": "
+                      << ConfigError(std::move(bad)).what() << "\n";
+            return false;
+        }
+        const std::string note = cfg.advisory();
+        if (!note.empty() && advisories.insert(note).second)
+            std::cerr << "warning: " << note << "\n";
+        return true;
+    };
+
     std::vector<SweepSpec> specs;
     for (const std::string &name : figures) {
         auto spec = sweepByName(name);
@@ -119,9 +157,12 @@ main(int argc, char **argv)
                       << "' (try --list)\n";
             return 2;
         }
+        for (SchemePoint &point : spec->points)
+            if (!vet(name + "/" + point.label, point.cfg))
+                return 2;
         specs.push_back(std::move(*spec));
     }
-    std::vector<ServeSpec> serveSpecs;
+    std::vector<std::pair<ServeSpec, SystemConfig>> serveRuns;
     for (const std::string &name : serves) {
         auto spec = serveSpecByName(name);
         if (!spec) {
@@ -129,7 +170,10 @@ main(int argc, char **argv)
                       << "' (try --list)\n";
             return 2;
         }
-        serveSpecs.push_back(std::move(*spec));
+        SystemConfig cfg = serveSpecConfig(*spec);
+        if (!vet("serve:" + name, cfg))
+            return 2;
+        serveRuns.emplace_back(std::move(*spec), std::move(cfg));
     }
 
     std::error_code ec;
@@ -167,15 +211,16 @@ main(int argc, char **argv)
         printSweep(std::cout, spec, grid);
     }
 
-    for (const ServeSpec &spec : serveSpecs) {
+    for (const auto &[spec, cfg] : serveRuns) {
         const auto start = std::chrono::steady_clock::now();
-        const ServeReport report = runServeSpec(spec);
+        const ServeReport report =
+            runServe(spec.app, cfg, spec.scale, spec.params);
         const auto elapsed =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - start);
 
         const std::string file =
-            serveSpecs.size() == 1
+            serveRuns.size() == 1
                 ? "BENCH_serve.json"
                 : "BENCH_serve_" + spec.name + ".json";
         const auto path = std::filesystem::path(outDir) / file;

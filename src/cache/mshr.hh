@@ -6,12 +6,16 @@
  * secondary misses to the same page merge into the primary miss
  * instead of issuing duplicate page walks. Payloads are the waiter
  * continuations replayed when the miss resolves. Entries live in a
- * VpnTable sized once for the file's capacity, so it never grows.
+ * VpnTable sized once for the file's capacity, so it never grows, and
+ * each released waiter list hands its storage back to the file, so a
+ * steady stream of misses stops allocating once every list has grown
+ * to its working size.
  */
 
 #ifndef IDYLL_CACHE_MSHR_HH
 #define IDYLL_CACHE_MSHR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -31,10 +35,51 @@ template <typename Payload>
 class MshrFile
 {
   public:
+    /**
+     * The waiters of one resolved miss, primary first. Iterates like
+     * the vector it wraps; its destructor returns the emptied storage
+     * to the file that released it, whose next primary miss reuses the
+     * capacity. Must not outlive that file.
+     */
+    class Released
+    {
+      public:
+        Released(Released &&other) noexcept
+            : _file(std::exchange(other._file, nullptr)),
+              _waiters(std::move(other._waiters))
+        {
+        }
+        Released(const Released &) = delete;
+        Released &operator=(const Released &) = delete;
+        Released &operator=(Released &&) = delete;
+
+        ~Released()
+        {
+            if (_file)
+                _file->recycle(std::move(_waiters));
+        }
+
+        auto begin() { return _waiters.begin(); }
+        auto end() { return _waiters.end(); }
+        std::size_t size() const { return _waiters.size(); }
+        Payload &operator[](std::size_t i) { return _waiters[i]; }
+
+      private:
+        friend class MshrFile;
+        Released(MshrFile *file, std::vector<Payload> &&waiters)
+            : _file(file), _waiters(std::move(waiters))
+        {
+        }
+
+        MshrFile *_file;
+        std::vector<Payload> _waiters;
+    };
+
     explicit MshrFile(std::uint32_t entries)
         : _entries(entries), _table(entries)
     {
         IDYLL_ASSERT(entries > 0, "MSHR file needs at least one entry");
+        _spare.reserve(entries);
     }
 
     /** True if a primary miss for @p key is already outstanding. */
@@ -60,7 +105,12 @@ class MshrFile
             return false;
         }
         IDYLL_ASSERT(!full(), "MSHR overflow; caller must check full()");
-        _table[key].push_back(std::move(payload));
+        std::vector<Payload> &waiters = _table[key];
+        if (!_spare.empty()) {
+            waiters = std::move(_spare.back());
+            _spare.pop_back();
+        }
+        waiters.push_back(std::move(payload));
         return true;
     }
 
@@ -68,12 +118,12 @@ class MshrFile
      * Resolve a miss: removes the entry and returns every waiter
      * (primary first) for replay.
      */
-    std::vector<Payload>
+    Released
     release(Vpn key)
     {
         std::vector<Payload> *entry = _table.find(key);
         IDYLL_ASSERT(entry, "releasing unknown MSHR entry");
-        std::vector<Payload> waiters = std::move(*entry);
+        Released waiters(this, std::move(*entry));
         _table.erase(key);
         return waiters;
     }
@@ -100,8 +150,19 @@ class MshrFile
     void clear() { _table.clear(); }
 
   private:
+    /** Keep @p waiters' capacity for the next primary miss. */
+    void
+    recycle(std::vector<Payload> &&waiters)
+    {
+        waiters.clear();
+        if (_spare.size() < _entries)
+            _spare.push_back(std::move(waiters));
+    }
+
     std::uint32_t _entries;
     VpnTable<std::vector<Payload>> _table;
+    /** Emptied waiter lists with capacity, at most one per entry. */
+    std::vector<std::vector<Payload>> _spare;
 };
 
 } // namespace idyll

@@ -162,7 +162,7 @@ ShardScheduler::runSharded(Tick maxTick)
         // Keepalive chains keep every queue nonempty so windows keep
         // coming; termination is decided by real events alone. An
         // unbounded drain mirrors serial runLocal(): once no real
-        // event is pending anywhere, cancel the keepalives and stop.
+        // event is pending anywhere, discard the keepalives and stop.
         // Bounded runs keep dispatching keepalives through maxTick
         // (also matching serial), and terminate when everything
         // pending lies beyond the bound.
@@ -212,6 +212,7 @@ ShardScheduler::runSharded(Tick maxTick)
     // last executed REAL event's tick, globally. (A shard whose final
     // window dispatched keepalive wakes past that tick snaps back --
     // its queue is empty, so no pending event can observe the move.)
+    // setNow() also pulls far events inside the moved wheel window.
     Tick final;
     if (maxTick != kMaxTick) {
         final = maxTick;
@@ -223,7 +224,7 @@ ShardScheduler::runSharded(Tick maxTick)
             final = std::max(final, shardQueue(s)._lastRealTick);
     }
     for (std::uint32_t s = 0; s < _shards; ++s)
-        shardQueue(s)._now = final;
+        shardQueue(s).setNow(final);
     return final;
 }
 

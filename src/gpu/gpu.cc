@@ -287,7 +287,7 @@ Gpu::completeTranslation(Vpn vpn, Pfn pfn, bool writable,
     if (requireFresh && _oracle && !(ps && ps->installsInFlight))
         _oracle->onServeFromLocalPte(_id, vpn, pfn, /*write=*/false);
 
-    std::vector<Waiter> waiters = _mshr.release(vpn);
+    auto waiters = _mshr.release(vpn);
     std::vector<Waiter> need_fault;
     const Tick now = _eq.now();
     for (Waiter &w : waiters) {
@@ -334,7 +334,7 @@ Gpu::deliverWithoutCaching(Vpn vpn, Pfn pfn, bool writable)
         return;
     if (!_mshr.contains(vpn))
         return;
-    std::vector<Waiter> waiters = _mshr.release(vpn);
+    auto waiters = _mshr.release(vpn);
     std::vector<Waiter> need_fault;
     const Tick now = _eq.now();
     for (Waiter &w : waiters) {

@@ -117,38 +117,39 @@ std::optional<BenchMetrics>
 parseGoogleBenchmark(const std::string &text,
                      const std::string &namePrefix)
 {
-    // Scan the "benchmarks" array for the first entry whose "name"
-    // starts with the prefix, then read its items_per_second.
+    // Each entry of the "benchmarks" array starts at its "name" key.
+    // Every non-aggregate entry whose name starts with the prefix is
+    // one repetition; keep the best items_per_second among them.
     const std::string nameKey = "\"name\"";
-    std::size_t cursor = 0;
-    while (true) {
-        const std::size_t at = text.find(nameKey, cursor);
-        if (at == std::string::npos)
-            return std::nullopt;
-        cursor = at + nameKey.size();
-        const std::size_t open = text.find('"', cursor);
-        if (open == std::string::npos)
-            return std::nullopt;
-        const std::size_t close = text.find('"', open + 1);
+    std::optional<double> best;
+    std::size_t at = text.find(nameKey);
+    while (at != std::string::npos) {
+        const std::size_t next = text.find(nameKey, at + nameKey.size());
+        const std::string entry = text.substr(
+            at, next == std::string::npos ? next : next - at);
+        at = next;
+        const std::size_t open = entry.find('"', nameKey.size());
+        const std::size_t close = open == std::string::npos
+                                      ? open
+                                      : entry.find('"', open + 1);
         if (close == std::string::npos)
-            return std::nullopt;
-        const std::string name =
-            text.substr(open + 1, close - open - 1);
-        if (name.rfind(namePrefix, 0) != 0)
+            break;
+        const std::string name = entry.substr(open + 1, close - open - 1);
+        if (name.rfind(namePrefix, 0) != 0 ||
+            entry.find("\"aggregate\"") != std::string::npos)
             continue;
-        const auto ipsPos =
-            afterKey(text, "items_per_second", close);
-        if (!ipsPos)
-            return std::nullopt;
-        const auto ips = numberAt(text, *ipsPos);
-        if (!ips)
-            return std::nullopt;
-        BenchMetrics m;
-        m.bench = "events_per_sec";
-        m.schema = 1;
-        m.values.emplace_back("eventsPerSec", *ips);
-        return m;
+        const auto ipsPos = afterKey(entry, "items_per_second", close);
+        const auto ips = ipsPos ? numberAt(entry, *ipsPos) : std::nullopt;
+        if (ips && (!best || *ips > *best))
+            best = ips;
     }
+    if (!best)
+        return std::nullopt;
+    BenchMetrics m;
+    m.bench = "events_per_sec";
+    m.schema = 1;
+    m.values.emplace_back("eventsPerSec", *best);
+    return m;
 }
 
 std::string

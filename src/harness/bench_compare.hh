@@ -51,10 +51,10 @@ struct BenchMetrics
 std::optional<BenchMetrics> parseBenchJson(const std::string &text);
 
 /**
- * Adapt google-benchmark --benchmark_format=json output: the first
- * benchmark whose name starts with @p namePrefix contributes its
- * items_per_second as an "eventsPerSec" metric. Empty optional when
- * no benchmark matches.
+ * Adapt google-benchmark --benchmark_format=json output: the best
+ * items_per_second among the repetitions whose name starts with
+ * @p namePrefix (mean/median/stddev aggregates are ignored) becomes
+ * an "eventsPerSec" metric. Empty optional when no benchmark matches.
  */
 std::optional<BenchMetrics>
 parseGoogleBenchmark(const std::string &text,

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
-#include <thread>
 
 #include "harness/runner.hh"
 #include "sim/trace.hh"
@@ -102,11 +101,7 @@ cliUsage()
            "  --irmb BxO          IRMB geometry, e.g. 32x16\n"
            "  --dir-bits M        in-PTE directory bits\n"
            "  --scale F           per-CU work multiplier\n"
-           "  --jobs N            sweep worker threads (0 = auto)\n"
-           "  --shards N          event-core shards per run (1 = serial);\n"
-           "                      shards take precedence over --jobs:\n"
-           "                      --jobs is clamped so shards x jobs\n"
-           "                      fits the machine's hardware threads\n"
+           "  --shards N          event-core shards per run (1 = serial)\n"
            "  --seed N            RNG seed\n"
            "  --raw               do not apply the simulation scaling\n"
            "  --stats             print extended statistics\n"
@@ -279,10 +274,6 @@ parseCli(const std::vector<std::string> &args)
             if (!next(value) || !parseDouble(value, opts.scale) ||
                 opts.scale <= 0.0)
                 return fail("--scale needs a positive number");
-        } else if (arg == "--jobs") {
-            if (!count() || n > std::numeric_limits<unsigned>::max())
-                return fail("--jobs needs a non-negative integer");
-            opts.jobs = static_cast<unsigned>(n);
         } else if (arg == "--shards") {
             if (!positive())
                 return fail("--shards needs a positive integer");
@@ -466,57 +457,7 @@ parseCli(const std::vector<std::string> &args)
     if (opts.config.l2Tlb.entries % opts.config.l2Tlb.ways != 0)
         opts.config.l2Tlb.ways = 1; // keep arbitrary sizes legal
 
-    // --shards wins over --jobs: a sharded run occupies `shards`
-    // threads per sweep job, so keep shards * jobs within the machine.
-    std::string warning;
-    if (opts.config.shards > 1) {
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        bool clamped = false;
-        const unsigned requested = opts.jobs ? opts.jobs : hw;
-        const unsigned jobs = clampJobsForShards(
-            requested, opts.config.shards, hw, &clamped);
-        if (clamped || opts.jobs == 0)
-            opts.jobs = jobs;
-        if (clamped && requested != hw) {
-            warning = "--shards " +
-                      std::to_string(opts.config.shards) +
-                      " takes precedence over --jobs " +
-                      std::to_string(requested) + ": clamped to " +
-                      std::to_string(jobs) + " job(s) so shards x jobs "
-                      "fits " + std::to_string(hw) + " hardware "
-                      "thread(s)";
-        }
-    }
-
-    const std::string advisory = opts.config.advisory();
-    if (!advisory.empty())
-        warning += (warning.empty() ? "" : "; ") + advisory;
-
-    return CliParse{opts, "", warning};
-}
-
-unsigned
-clampJobsForShards(unsigned jobs, std::uint32_t shards, unsigned hw,
-                   bool *warned)
-{
-    if (warned)
-        *warned = false;
-    if (hw == 0)
-        hw = 1;
-    if (jobs == 0)
-        jobs = 1;
-    if (shards <= 1)
-        return jobs;
-    const std::uint64_t demand =
-        static_cast<std::uint64_t>(jobs) * shards;
-    if (demand <= hw)
-        return jobs;
-    const unsigned clamped =
-        static_cast<unsigned>(hw / shards ? hw / shards : 1);
-    if (clamped != jobs && warned)
-        *warned = true;
-    return clamped;
+    return CliParse{opts, "", opts.config.advisory()};
 }
 
 } // namespace idyll

@@ -51,7 +51,6 @@ struct CliOptions
     std::string app = "KM";
     std::string scheme = "baseline";
     double scale = 1.0;
-    unsigned jobs = 0; ///< sweep workers; 0 = auto (see resolveJobs)
     bool dumpStats = false;
     bool listApps = false;
     bool help = false;
@@ -85,10 +84,7 @@ struct CliParse
     std::optional<CliOptions> options;
     std::string error;
 
-    /**
-     * Non-fatal advisory (e.g. --jobs clamped for --shards, or the
-     * config's own SystemConfig::advisory()).
-     */
+    /** Non-fatal advisory (the config's SystemConfig::advisory()). */
     std::string warning;
 
     bool ok() const { return options.has_value(); }
@@ -102,21 +98,6 @@ std::string cliUsage();
 
 /** cliUsage()'s lines for the shared run flags (see parseRunFlag). */
 std::string runFlagUsage();
-
-/**
- * Compose --shards with --jobs: shards win. Each sweep job runs its
- * own system, and a sharded system occupies `shards` threads, so the
- * oversubscription condition is shards * jobs > hardwareConcurrency.
- * When it holds, jobs is clamped to max(1, hw / shards); otherwise
- * jobs passes through unchanged. Pure so tests can pin hw.
- *
- * @param jobs   requested sweep workers (already resolved, >= 1)
- * @param shards effective event-core shards (>= 1)
- * @param hw     hardware concurrency (0 is treated as 1)
- * @param warned when non-null, set true iff jobs was clamped
- */
-unsigned clampJobsForShards(unsigned jobs, std::uint32_t shards,
-                            unsigned hw, bool *warned = nullptr);
 
 /** Resolve a scheme name to a configuration (empty optional = bad). */
 std::optional<SystemConfig> schemeByName(const std::string &name);

@@ -33,6 +33,10 @@ EventQueue::checkNonNull(bool nonNull) const
     IDYLL_ASSERT(nonNull, "null event callback");
 }
 
+EventQueue::EventQueue() : _buckets(std::make_unique<Bucket[]>(kWheelBuckets))
+{
+}
+
 void
 EventQueue::growArena()
 {
@@ -47,40 +51,35 @@ EventQueue::growArena()
 }
 
 void
-EventQueue::recycle(Node *node)
+EventQueue::insertKeyedSorted(Bucket &bucket, Node *node)
 {
-    node->fn.reset();
-    node->scheduled = false;
-    node->nextFree = _freeList;
-    _freeList = node;
+    // The append fast path in insert() failed, so the list is nonempty
+    // and node sorts before its tail.
+    if (before(node, bucket.keyedHead)) {
+        node->nextFree = bucket.keyedHead;
+        bucket.keyedHead = node;
+        return;
+    }
+    Node *prev = bucket.keyedHead;
+    while (before(prev->nextFree, node))
+        prev = prev->nextFree;
+    node->nextFree = prev->nextFree;
+    prev->nextFree = node;
 }
 
-bool
-EventQueue::cancel(EventId id)
+void
+EventQueue::migrateFar()
 {
-    // Route to the shard queue that created the handle; a stale handle
-    // from a destroyed queue is the caller's bug (same lifetime rule as
-    // before sharding: handles die with their queue).
-    EventQueue *owner = id._owner ? id._owner : &active();
-    return owner->cancelLocal(id);
-}
-
-bool
-EventQueue::cancelLocal(EventId id)
-{
-    Node *node = static_cast<Node *>(id._node);
-    if (!node || !node->scheduled || node->seq != id._seq ||
-        node->isCancelled)
-        return false;
-    // The heap entry is reclaimed lazily when it surfaces; release the
-    // captured state now so cancellation frees resources immediately.
-    node->isCancelled = true;
-    node->fn.reset();
-    --_livePending;
-    if (node->keepalive)
-        --_keepalivePending;
-    ++_cancelled;
-    return true;
+    // Heap order is (when, key, seq), and nothing has been scheduled
+    // straight into these ticks' buckets yet (they were outside the
+    // window until now), so each bucket's FIFO receives its far
+    // events in seq order and its keyed list by appends.
+    while (!_far.empty() && _far.front().when - _now < kWheelBuckets) {
+        const HeapEntry top = _far.front();
+        std::pop_heap(_far.begin(), _far.end(), Later{});
+        _far.pop_back();
+        insert(top.node, top.when, top.key);
+    }
 }
 
 void
@@ -88,26 +87,41 @@ EventQueue::cancelKeepalives()
 {
     if (_keepalivePending == 0)
         return;
-    for (const HeapEntry &entry : _heap) {
-        Node *node = entry.node;
-        if (node->scheduled && node->keepalive && !node->isCancelled) {
-            node->isCancelled = true;
-            node->fn.reset();
-            --_livePending;
-            --_keepalivePending;
+    std::size_t dropped = 0;
+    // Keepalives carry key 0, so in the wheel they sit in keyed lists.
+    for (std::size_t w = 0; w < kBitmapWords; ++w) {
+        for (std::uint64_t bits = _occupied[w]; bits; bits &= bits - 1) {
+            const std::size_t b = (w << 6) | lowestBit(bits);
+            Bucket &bucket = _buckets[b];
+            Node **link = &bucket.keyedHead;
+            bucket.keyedTail = nullptr;
+            while (Node *node = *link) {
+                if (node->keepalive) {
+                    *link = node->nextFree;
+                    recycle(node);
+                    ++dropped;
+                } else {
+                    bucket.keyedTail = node;
+                    link = &node->nextFree;
+                }
+            }
+            if (!bucket.keyedHead && !bucket.head)
+                markEmpty(b);
         }
     }
-}
-
-void
-EventQueue::pruneCancelledTop()
-{
-    while (!_heap.empty() && _heap.front().node->isCancelled) {
-        Node *node = _heap.front().node;
-        std::pop_heap(_heap.begin(), _heap.end(), Later{});
-        _heap.pop_back();
-        recycle(node);
-    }
+    const auto kept = std::remove_if(
+        _far.begin(), _far.end(), [&](const HeapEntry &entry) {
+            if (!entry.node->keepalive)
+                return false;
+            recycle(entry.node);
+            ++dropped;
+            return true;
+        });
+    _far.erase(kept, _far.end());
+    std::make_heap(_far.begin(), _far.end(), Later{});
+    IDYLL_ASSERT(dropped == _keepalivePending, "lost a keepalive");
+    _livePending -= dropped;
+    _keepalivePending = 0;
 }
 
 void
@@ -135,26 +149,13 @@ EventQueue::configureWatchdog(std::uint64_t maxIdleEvents,
     _lastProgressTick = _now;
 }
 
-bool
-EventQueue::step()
+[[gnu::always_inline]] inline void
+EventQueue::dispatch(const Front &f)
 {
-    IDYLL_ASSERT(!_router, "step() is unsupported on a sharded queue");
-    pruneCancelledTop();
-    if (_heap.empty())
-        return false;
-    dispatchTop();
-    return true;
-}
-
-void
-EventQueue::dispatchTop()
-{
-    Node *node = _heap.front().node;
-    std::pop_heap(_heap.begin(), _heap.end(), Later{});
-    _heap.pop_back();
-
+    Node *node = f.node;
+    unlink(f);
     IDYLL_ASSERT(node->when >= _now, "time went backwards");
-    _now = node->when;
+    setNow(node->when);
     ++_executed;
     --_livePending;
     if (node->keepalive)
@@ -163,10 +164,8 @@ EventQueue::dispatchTop()
         _lastRealTick = node->when;
 
     // Invoke the callback in place (no move out of the node) and
-    // recycle afterwards. Clearing `scheduled` first makes a callback
-    // cancelling its own handle a safe no-op; a nested schedule cannot
-    // claim this node because it is not on the free list yet.
-    node->scheduled = false;
+    // recycle afterwards; a nested schedule cannot claim this node
+    // because it is not on the free list yet.
     node->fn();
     recycle(node);
 
@@ -182,6 +181,17 @@ EventQueue::dispatchTop()
 
     if (_progressHook && (_executed & 0xFFFF) == 0)
         _progressHook();
+}
+
+bool
+EventQueue::step()
+{
+    IDYLL_ASSERT(!_router, "step() is unsupported on a sharded queue");
+    const Front f = front();
+    if (!f.node)
+        return false;
+    dispatch(f);
+    return true;
 }
 
 void
@@ -204,17 +214,14 @@ EventQueue::watchdogTrip()
     constexpr std::size_t kMaxDumped = 32;
     std::size_t dumped = 0;
     while (dumped < kMaxDumped) {
-        pruneCancelledTop();
-        if (_heap.empty())
+        const Front f = front();
+        if (!f.node)
             break;
-        const HeapEntry &top = _heap.front();
-        os << who << ":   pending event tick=" << top.when
-           << " seq=" << top.seq << "\n";
-        Node *node = top.node;
-        std::pop_heap(_heap.begin(), _heap.end(), Later{});
-        _heap.pop_back();
+        os << who << ":   pending event tick=" << f.node->when
+           << " seq=" << f.node->seq << "\n";
+        unlink(f);
         --_livePending;
-        recycle(node);
+        recycle(f.node);
         ++dumped;
     }
     if (_livePending > 0)
@@ -229,29 +236,37 @@ EventQueue::watchdogTrip()
 Tick
 EventQueue::runLocal(Tick maxTick)
 {
-    for (;;) {
-        pruneCancelledTop();
-        if (_heap.empty() || _heap.front().when > maxTick)
+    for (Front f = front(); f.node; f = front()) {
+        if (f.node->when > maxTick)
             break;
         // An unbounded drain ends with the last real event: once only
-        // keepalive wakes remain, cancel them so the clock stays on
+        // keepalive wakes remain, discard them so the clock stays on
         // the last real tick (bounded runs keep dispatching keepalives
         // through the horizon -- identical to what a sharded run's
         // windows do).
         if (maxTick == kMaxTick && _keepalivePending > 0 &&
             _livePending == _keepalivePending) {
             cancelKeepalives();
-            pruneCancelledTop();
             break;
         }
-        dispatchTop();
+        dispatch(f);
     }
     // With an explicit horizon the clock lands exactly on it, so
     // bounded callers (and anything they schedule next) see monotonic,
     // gap-free time; an unbounded drain keeps the last event's tick.
     if (maxTick != kMaxTick && _now < maxTick)
-        _now = maxTick;
+        setNow(maxTick);
     return _now;
+}
+
+void
+EventQueue::runWindow(Tick horizon)
+{
+    for (Front f = front(); f.node; f = front()) {
+        if (f.node->when > horizon)
+            break;
+        dispatch(f);
+    }
 }
 
 } // namespace idyll

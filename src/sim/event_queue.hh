@@ -17,11 +17,29 @@
  *    is one indirect call through a static ops table (no virtual
  *    dispatch, no std::function).
  *  - Event nodes live in a slab arena with an intrusive free list.
- *    Executed and cancelled nodes are recycled, so a steady-state
- *    simulation performs zero allocations per event.
- *  - The priority queue itself orders lightweight (tick, key, seq,
- *    node*) entries, so heap sift operations move 32-byte records
- *    instead of whole callbacks.
+ *    Executed nodes are recycled, so a steady-state simulation
+ *    performs zero allocations per event.
+ *  - Pending nodes sit in a timing wheel (a calendar queue with one
+ *    bucket per tick). kWheelBuckets buckets cover the ticks
+ *    [now, now + kWheelBuckets); a two-level occupancy bitmap finds
+ *    the first nonempty bucket with two bit scans. Each bucket holds
+ *    two intrusive singly linked lists threaded through Node::nextFree:
+ *    a FIFO of ordinary events (appended in scheduling order, hence
+ *    in seq order) and a list of deliveries and keepalives kept
+ *    sorted by (key, seq), with an append fast path for keys that
+ *    arrive in order. Keyed nodes run before the FIFO at a tick,
+ *    because every key they carry is below kNormalEventKey.
+ *  - Events at now + kWheelBuckets or later wait in a small binary
+ *    heap of (when, key, seq, node*) records, the far heap. Whenever
+ *    the clock moves (setNow), every far event that the move brings
+ *    inside the window migrates into its bucket, in heap order.
+ *  - Why the order is exactly min-(tick, key, seq): whether tick t
+ *    lies inside the window only turns from false to true as the
+ *    clock advances, and migration runs the moment it does. So every
+ *    far event for t was scheduled (and got its seq) before any event
+ *    that went straight into t's bucket, and the far events enter the
+ *    bucket first, in seq order. The FIFO therefore stays in seq
+ *    order and the keyed list stays sorted.
  *
  * Sharded execution (DESIGN.md section 10): a run may be partitioned
  * into one EventQueue shard per device group. The System's root queue
@@ -32,8 +50,8 @@
  * events carrying an explicit 64-bit ordering key (assigned by the
  * interconnect from single-writer per-lane message counters). At any
  * tick, deliveries execute before ordinary events, ordered by key;
- * ordinary events keep pure scheduling order. Because the same
- * comparator runs in serial mode, the execution order is a function of
+ * ordinary events keep pure scheduling order. Because the same order
+ * holds in serial mode, the execution order is a function of
  * (tick, key, creation order per shard) only -- never of which thread
  * ran what when -- which is what makes sharded runs bit-identical to
  * serial ones.
@@ -45,7 +63,8 @@
  * exactly the state left by all events with tick < t, in serial and
  * sharded runs alike. Keepalives are excluded from pending()/empty()
  * and never gate termination: an unbounded drain stops after the last
- * real event and cancels the remaining keepalive chain, so a sampler
+ * real event and discards the remaining keepalive chain (the only
+ * cancellation the queue has), so a sampler
  * can keep every shard's queue nonempty (which keeps rendezvous
  * windows coming) without ever changing when a run ends. Keepalive
  * callbacks must not schedule ordinary events or mutate simulation
@@ -344,8 +363,9 @@ class ShardRouter
  * Components capture a reference to the queue and schedule callbacks at
  * relative delays (schedule) or absolute ticks (scheduleAt); the
  * top-level driver calls run() to drain the queue or runUntil() to
- * advance to a bounded horizon. schedule()/scheduleAt() return an
- * EventId that cancel() accepts to deschedule a pending event.
+ * advance to a bounded horizon. A scheduled event always runs: the
+ * queue has no cancellation handles (keepalives, discarded at the end
+ * of an unbounded drain, are the one exception).
  *
  * When a ShardRouter is installed on the root queue, every component
  * entry point transparently operates on the calling thread's current
@@ -356,31 +376,14 @@ class EventQueue
 {
   public:
     /**
-     * Handle to one scheduled event, for cancel(). Default-constructed
-     * handles are inert. A handle is valid until its event executes,
-     * is cancelled, or the queue is destroyed; cancelling a stale
-     * handle is a safe no-op. The handle remembers which shard queue
-     * created it, so cancelling through the root queue works from any
-     * shard.
+     * Ticks covered by the timing wheel, one bucket per tick. Events
+     * further out wait in the far heap. On the perfbench workloads
+     * every scheduled delay was below this span; long timers such as
+     * invalidation retries take the far heap.
      */
-    class EventId
-    {
-      public:
-        EventId() = default;
+    static constexpr Tick kWheelBuckets = 4096;
 
-      private:
-        friend class EventQueue;
-        EventId(std::uint64_t seq, void *node, EventQueue *owner)
-            : _seq(seq), _node(node), _owner(owner)
-        {
-        }
-
-        std::uint64_t _seq = 0;
-        void *_node = nullptr;
-        EventQueue *_owner = nullptr;
-    };
-
-    EventQueue() = default;
+    EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -392,28 +395,25 @@ class EventQueue
      * @param delay cycles from now (0 = later this tick).
      * @param fn    callback to run (any void() callable; passing a
      *              lambda directly avoids std::function entirely).
-     * @return handle accepted by cancel().
      */
     template <typename F>
-    EventId
+    void
     schedule(Cycles delay, F &&fn)
     {
         EventQueue &q = active();
-        return q.scheduleLocal(q._now + delay, kNormalEventKey,
-                               std::forward<F>(fn));
+        q.scheduleLocal(q._now + delay, kNormalEventKey,
+                        std::forward<F>(fn));
     }
 
     /**
      * Schedule a callback at an absolute tick.
      * @throws SchedulingError if @p when is before now().
-     * @return handle accepted by cancel().
      */
     template <typename F>
-    EventId
+    void
     scheduleAt(Tick when, F &&fn)
     {
-        return active().scheduleLocal(when, kNormalEventKey,
-                                      std::forward<F>(fn));
+        active().scheduleLocal(when, kNormalEventKey, std::forward<F>(fn));
     }
 
     /**
@@ -425,10 +425,10 @@ class EventQueue
      * counters guarantee that.
      */
     template <typename F>
-    EventId
+    void
     scheduleDelivery(Tick when, std::uint64_t key, F &&fn)
     {
-        return active().scheduleLocal(when, key, std::forward<F>(fn));
+        active().scheduleLocal(when, key, std::forward<F>(fn));
     }
 
     /**
@@ -461,38 +461,27 @@ class EventQueue
      * Schedule a keepalive event @p delay cycles in the future on the
      * calling thread's shard queue. Keepalives carry the reserved
      * key 0 (they run before everything else at their tick), are
-     * excluded from pending()/empty(), and are cancelled automatically
+     * excluded from pending()/empty(), and are discarded automatically
      * when a run drains its last real event -- so a self-rescheduling
      * keepalive chain never changes when a run terminates. The
      * callback must only observe state (see the header comment).
      */
     template <typename F>
-    EventId
+    void
     scheduleKeepalive(Cycles delay, F &&fn)
     {
         EventQueue &q = active();
-        EventId id = q.scheduleLocal(q._now + delay, kKeepaliveEventKey,
-                                     std::forward<F>(fn));
-        static_cast<Node *>(id._node)->keepalive = true;
+        q.scheduleLocal(q._now + delay, kKeepaliveEventKey,
+                        std::forward<F>(fn))
+            ->keepalive = true;
         ++q._keepalivePending;
-        return id;
     }
 
     /**
-     * Deschedule a pending event. The node is reclaimed lazily when
-     * its heap entry surfaces; the callback (and everything it
-     * captured) is destroyed immediately.
-     * @return true if the event was pending and is now cancelled;
-     *         false for stale handles (already executed, already
-     *         cancelled, or default-constructed).
-     */
-    bool cancel(EventId id);
-
-    /**
-     * Number of pending (scheduled, not cancelled) real events.
-     * Keepalive observation events are excluded: they follow a run,
-     * they never drive one, so drain loops keyed on pending()/empty()
-     * terminate exactly as if no sampler were attached.
+     * Number of pending real events. Keepalive observation events are
+     * excluded: they follow a run, they never drive one, so drain
+     * loops keyed on pending()/empty() terminate exactly as if no
+     * sampler were attached.
      */
     std::size_t
     pending() const
@@ -540,7 +529,7 @@ class EventQueue
     /** Execute at most one event. @return true if one ran. */
     bool step();
 
-    /** Total number of events executed so far (cancels excluded). */
+    /** Total number of events executed so far. */
     std::uint64_t
     executed() const
     {
@@ -549,18 +538,6 @@ class EventQueue
         std::uint64_t sum = 0;
         for (std::uint32_t s = 0; s < _router->shardCount(); ++s)
             sum += _router->shardQueue(s)._executed;
-        return sum;
-    }
-
-    /** Total number of events cancelled so far. */
-    std::uint64_t
-    cancelled() const
-    {
-        if (!_router)
-            return _cancelled;
-        std::uint64_t sum = 0;
-        for (std::uint32_t s = 0; s < _router->shardCount(); ++s)
-            sum += _router->shardQueue(s)._cancelled;
         return sum;
     }
 
@@ -635,20 +612,30 @@ class EventQueue
     friend class ShardScheduler;
     friend class ShardScope;
 
-    /** One pooled event. Nodes never move; the heap orders pointers. */
+    /**
+     * One pooled event. Nodes never move. nextFree links the free list
+     * while the node is idle and its bucket list while it is pending.
+     */
     struct Node
     {
+        Node *nextFree = nullptr;
         Tick when = 0;
         std::uint64_t key = kNormalEventKey;
         std::uint64_t seq = 0;
-        bool scheduled = false;
-        bool isCancelled = false;
         bool keepalive = false;
         InlineEvent fn;
-        Node *nextFree = nullptr;
     };
 
-    /** Lightweight heap record; sift operations move 32 bytes. */
+    /** One tick of the wheel: keyed list first, then the FIFO. */
+    struct Bucket
+    {
+        Node *keyedHead = nullptr; ///< deliveries/keepalives, (key, seq)
+        Node *keyedTail = nullptr;
+        Node *head = nullptr; ///< ordinary events, seq order
+        Node *tail = nullptr;
+    };
+
+    /** Far-heap record; sift operations move 32 bytes. */
     struct HeapEntry
     {
         Tick when;
@@ -657,11 +644,7 @@ class EventQueue
         Node *node;
     };
 
-    /**
-     * Min-(when, key, seq) ordering. Deliveries (key < MAX) run before
-     * same-tick ordinary events; ordinary events keep pure scheduling
-     * order among themselves (key == kNormalEventKey for all of them).
-     */
+    /** Min-(when, key, seq) ordering of the far heap. */
     struct Later
     {
         bool
@@ -676,6 +659,11 @@ class EventQueue
     };
 
     static constexpr std::size_t kSlabNodes = 256;
+    static constexpr Tick kWheelMask = kWheelBuckets - 1;
+    static constexpr std::size_t kBitmapWords = kWheelBuckets / 64;
+    static_assert((kWheelBuckets & kWheelMask) == 0 && kBitmapWords <= 64,
+                  "the wheel needs a power-of-two span of at most 4096 "
+                  "ticks, one summary bit per bitmap word");
 
     /** The queue this thread's component calls should operate on. */
     EventQueue &
@@ -692,61 +680,175 @@ class EventQueue
 
     /**
      * Schedule on THIS queue (no routing). The shard scheduler uses it
-     * to apply cross-shard deposits from the rendezvous barrier.
+     * to apply cross-shard deposits from the rendezvous barrier. The
+     * callback is constructed in place inside the pooled node, so
+     * scheduling performs zero callback moves.
      */
     template <typename F>
-    EventId
+    Node *
     scheduleLocal(Tick when, std::uint64_t key, F &&fn)
     {
         if (when < _now)
             throw SchedulingError(_now, when);
         if constexpr (std::is_same_v<std::decay_t<F>, EventFn>)
             checkNonNull(static_cast<bool>(fn));
-        Node *node = prepareNode(when, key);
-        try {
-            node->fn.emplace(std::forward<F>(fn));
-        } catch (...) {
-            // The node is already in the heap; abandon it as a
-            // cancelled entry so pruning reclaims it lazily.
-            node->isCancelled = true;
-            --_livePending;
-            throw;
-        }
-        return EventId{node->seq, node, this};
-    }
-
-    /**
-     * Claim a node, stamp it with (when, key, seq), and push its heap
-     * entry. The caller then constructs the callback in place via
-     * node->fn.emplace(), so scheduling performs zero callback moves.
-     * Inline: this is the hottest function in the simulator.
-     */
-    Node *
-    prepareNode(Tick when, std::uint64_t key)
-    {
         if (!_freeList)
             growArena();
         Node *node = _freeList;
         _freeList = node->nextFree;
-        node->nextFree = nullptr;
-        node->scheduled = true;
-        node->isCancelled = false;
-        node->keepalive = false;
         node->when = when;
         node->key = key;
         node->seq = _nextSeq++;
-        _heap.push_back(HeapEntry{when, key, node->seq, node});
-        std::push_heap(_heap.begin(), _heap.end(), Later{});
+        node->keepalive = false;
+        try {
+            node->fn.emplace(std::forward<F>(fn));
+        } catch (...) {
+            recycle(node);
+            throw;
+        }
         ++_livePending;
+        insert(node, when, key);
         return node;
+    }
+
+    /**
+     * Put a stamped node into its bucket, or the far heap when it lies
+     * beyond the wheel. Inline: this is the hottest function in the
+     * simulator.
+     */
+    [[gnu::always_inline]] void
+    insert(Node *node, Tick when, std::uint64_t key)
+    {
+        if (when - _now >= kWheelBuckets) {
+            _far.push_back(HeapEntry{when, key, node->seq, node});
+            std::push_heap(_far.begin(), _far.end(), Later{});
+            return;
+        }
+        const std::size_t b = when & kWheelMask;
+        Bucket &bucket = _buckets[b];
+        node->nextFree = nullptr;
+        if (key == kNormalEventKey)
+            append(bucket.head, bucket.tail, node);
+        else if (!bucket.keyedTail || before(bucket.keyedTail, node))
+            append(bucket.keyedHead, bucket.keyedTail, node);
+        else
+            insertKeyedSorted(bucket, node);
+        _occupied[b >> 6] |= std::uint64_t{1} << (b & 63);
+        _summary |= std::uint64_t{1} << (b >> 6);
+    }
+
+    static void
+    append(Node *&head, Node *&tail, Node *node)
+    {
+        (tail ? tail->nextFree : head) = node;
+        tail = node;
+    }
+
+    static void
+    popHead(Node *&head, Node *&tail)
+    {
+        if (!(head = head->nextFree))
+            tail = nullptr;
+    }
+
+    /** (key, seq) order within one bucket's keyed list. */
+    static bool
+    before(const Node *a, const Node *b)
+    {
+        return a->key != b->key ? a->key < b->key : a->seq < b->seq;
+    }
+
+    /** The next node to dispatch and where it sits. */
+    struct Front
+    {
+        Node *node;         ///< null when nothing is pending
+        std::size_t bucket; ///< kWheelBuckets: the far heap's top
+    };
+
+    /**
+     * The next node to dispatch, min-(when, key, seq), without removing
+     * it. The wheel, when nonempty, holds every event earlier than the
+     * far heap's.
+     */
+    [[gnu::always_inline]] Front
+    front() const
+    {
+        if (_summary) {
+            const std::size_t b = firstOccupied();
+            const Bucket &bucket = _buckets[b];
+            return {bucket.keyedHead ? bucket.keyedHead : bucket.head, b};
+        }
+        return {_far.empty() ? nullptr : _far.front().node, kWheelBuckets};
+    }
+
+    /**
+     * Index of the first nonempty bucket at or after the clock's,
+     * cyclically (bucket now - 1 holds tick now + kWheelBuckets - 1).
+     */
+    [[gnu::always_inline]] std::size_t
+    firstOccupied() const
+    {
+        constexpr std::uint64_t kAll = ~std::uint64_t{0};
+        const std::size_t p = _now & kWheelMask;
+        const std::size_t w = p >> 6;
+        if (const std::uint64_t here = _occupied[w] & (kAll << (p & 63)))
+            return (w << 6) | lowestBit(here);
+        const std::uint64_t later = _summary & ((kAll << w) << 1);
+        // No bucket after the clock's: wrap to the lowest occupied one.
+        const std::size_t word = lowestBit(later ? later : _summary);
+        return (word << 6) | lowestBit(_occupied[word]);
+    }
+
+    static std::size_t
+    lowestBit(std::uint64_t bits)
+    {
+        return static_cast<std::size_t>(__builtin_ctzll(bits));
+    }
+
+    /** Remove the node front() just returned from its container. */
+    [[gnu::always_inline]] void
+    unlink(const Front &f)
+    {
+        if (f.bucket == kWheelBuckets) {
+            std::pop_heap(_far.begin(), _far.end(), Later{});
+            _far.pop_back();
+            return;
+        }
+        Bucket &bucket = _buckets[f.bucket];
+        if (bucket.keyedHead == f.node)
+            popHead(bucket.keyedHead, bucket.keyedTail);
+        else
+            popHead(bucket.head, bucket.tail);
+        if (!bucket.keyedHead && !bucket.head)
+            markEmpty(f.bucket);
+    }
+
+    void
+    markEmpty(std::size_t b)
+    {
+        if (!(_occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63))))
+            _summary &= ~(std::uint64_t{1} << (b >> 6));
+    }
+
+    /**
+     * Move the clock to @p t, migrating every far event the move brings
+     * inside the wheel. Moving backwards is legal only on an empty
+     * queue (the shard scheduler's final clock set).
+     */
+    [[gnu::always_inline]] void
+    setNow(Tick t)
+    {
+        _now = t;
+        if (!_far.empty() && _far.front().when - t < kWheelBuckets)
+            migrateFar();
     }
 
     /** Earliest pending tick on THIS queue (kMaxTick when empty). */
     Tick
-    nextEventTick()
+    nextEventTick() const
     {
-        pruneCancelledTop();
-        return _heap.empty() ? kMaxTick : _heap.front().when;
+        const Node *node = front().node;
+        return node ? node->when : kMaxTick;
     }
 
     /** Run THIS queue's events through @p maxTick (no routing). */
@@ -757,30 +859,29 @@ class EventQueue
      * the clock at the last executed event (no advance to the bound).
      * One conservative window of a sharded run.
      */
-    void
-    runWindow(Tick horizon)
-    {
-        for (;;) {
-            pruneCancelledTop();
-            if (_heap.empty() || _heap.front().when > horizon)
-                break;
-            dispatchTop();
-        }
-    }
+    void runWindow(Tick horizon);
 
-    bool cancelLocal(EventId id);
     /**
-     * Cancel every pending keepalive on THIS queue (end of an
-     * unbounded drain; the shard scheduler calls it per shard).
-     * Heap entries are reclaimed lazily; not counted in cancelled().
+     * Discard every pending keepalive on THIS queue (end of an
+     * unbounded drain; the shard scheduler calls it per shard). The
+     * nodes leave their lists and the far heap at once.
      */
     void cancelKeepalives();
+    void insertKeyedSorted(Bucket &bucket, Node *node);
+    void migrateFar();
     void growArena();
-    /** Pop, run, and recycle the top heap entry (must be live). */
-    void dispatchTop();
-    void recycle(Node *node);
-    /** Pop and recycle cancelled entries sitting on top of the heap. */
-    void pruneCancelledTop();
+    /** Unlink front() @p f, advance the clock, run it, recycle it. */
+    void dispatch(const Front &f);
+
+    /** Destroy the callback and return the node to the free list. */
+    void
+    recycle(Node *node)
+    {
+        node->fn.reset();
+        node->nextFree = _freeList;
+        _freeList = node;
+    }
+
     void checkNonNull(bool nonNull) const;
     [[noreturn]] void watchdogTrip();
 
@@ -792,7 +893,16 @@ class EventQueue
 
     std::vector<std::unique_ptr<Node[]>> _slabs;
     Node *_freeList = nullptr;
-    std::vector<HeapEntry> _heap;
+
+    std::unique_ptr<Bucket[]> _buckets;
+    /** Bit b of word w: bucket 64w + b is nonempty. */
+    std::uint64_t _occupied[kBitmapWords] = {};
+    /** Bit w: _occupied[w] != 0. */
+    std::uint64_t _summary = 0;
+    /** Events at now + kWheelBuckets or later, min-(when, key, seq). */
+    std::vector<HeapEntry> _far;
+
+    /** Nodes in the wheel and the far heap, keepalives included. */
     std::size_t _livePending = 0;
     std::size_t _keepalivePending = 0;
 
@@ -801,7 +911,6 @@ class EventQueue
     Tick _lastRealTick = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
-    std::uint64_t _cancelled = 0;
     std::function<void()> _progressHook;
 
     ShardRouter *_router = nullptr;

@@ -97,14 +97,13 @@ TEST(Cli, FlagsAndErrors)
 
 TEST(Cli, JobsFlag)
 {
-    EXPECT_EQ(mustParse({}).jobs, 0u); // 0 = auto (resolveJobs)
-    EXPECT_EQ(mustParse({"--jobs", "4"}).jobs, 4u);
-    EXPECT_EQ(mustParse({"--jobs", "0"}).jobs, 0u);
-    EXPECT_FALSE(parseCli({"--jobs"}).ok());
-    EXPECT_FALSE(parseCli({"--jobs", "many"}).ok());
-    EXPECT_FALSE(parseCli({"--jobs", "-1"}).ok()); // no wrap-around
-    EXPECT_FALSE(parseCli({"--jobs", "4294967296"}).ok()); // > unsigned
-    EXPECT_FALSE(parseCli({"--jobs", "99999999999999999999"}).ok());
+    // idyll_sim runs one system per call, so it takes no --jobs; sweep
+    // workers are idyll_sweep's own flag (tools/idyll_sweep.cc).
+    const CliParse parsed = parseCli({"--jobs", "4"});
+    EXPECT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.error.find("unknown argument '--jobs'"),
+              std::string::npos)
+        << parsed.error;
 }
 
 TEST(Cli, ShardsFlag)
@@ -114,49 +113,18 @@ TEST(Cli, ShardsFlag)
     EXPECT_FALSE(parseCli({"--shards"}).ok());      // missing value
     EXPECT_FALSE(parseCli({"--shards", "0"}).ok()); // 1 = serial
     EXPECT_FALSE(parseCli({"--shards", "few"}).ok());
+
+    // A --shards run emits no advisory of its own.
+    CliParse sharded = parseCli({"--shards", "64"});
+    ASSERT_TRUE(sharded.ok());
+    EXPECT_TRUE(sharded.warning.empty()) << sharded.warning;
 }
 
-TEST(Cli, ShardsTakePrecedenceOverJobs)
-{
-    // clampJobsForShards is the pure core of the composition rule
-    // (shards win; shards x jobs must fit the machine), with the
-    // hardware thread count injected so the test pins exact numbers.
-    bool warned = false;
-
-    // Fits: 2 shards x 4 jobs on 16 threads passes through untouched.
-    EXPECT_EQ(clampJobsForShards(4, 2, 16, &warned), 4u);
-    EXPECT_FALSE(warned);
-
-    // Oversubscribed: 8 shards x 4 jobs on 16 threads clamps jobs to
-    // hw / shards = 2 and reports the clamp.
-    EXPECT_EQ(clampJobsForShards(4, 8, 16, &warned), 2u);
-    EXPECT_TRUE(warned);
-
-    // Shards alone exceed the machine: jobs floor at 1.
-    warned = false;
-    EXPECT_EQ(clampJobsForShards(4, 32, 16, &warned), 1u);
-    EXPECT_TRUE(warned);
-
-    // Serial shards never constrain jobs.
-    warned = false;
-    EXPECT_EQ(clampJobsForShards(64, 1, 4, &warned), 64u);
-    EXPECT_FALSE(warned);
-
-    // Degenerate inputs stay sane (and never divide by zero).
-    EXPECT_EQ(clampJobsForShards(0, 4, 16, nullptr), 1u);
-    EXPECT_GE(clampJobsForShards(4, 4, 0, nullptr), 1u);
-
-    // End to end: a --shards run that fits emits no advisory.
-    CliParse fits = parseCli({"--shards", "2", "--jobs", "1"});
-    ASSERT_TRUE(fits.ok());
-    EXPECT_TRUE(fits.warning.empty());
-}
-
-TEST(Cli, UsageDocumentsShardJobPrecedence)
+TEST(Cli, UsageDocumentsShardsWithoutJobs)
 {
     const std::string usage = cliUsage();
     EXPECT_NE(usage.find("--shards"), std::string::npos);
-    EXPECT_NE(usage.find("precedence over --jobs"), std::string::npos);
+    EXPECT_EQ(usage.find("--jobs"), std::string::npos);
 }
 
 TEST(Cli, TraceFlags)
@@ -241,7 +209,6 @@ TEST(Cli, EnvironmentDoesNotReachTheConfig)
     EXPECT_EQ(runFields(scaledForSim(SystemConfig{})),
               runFields(cleanScaled));
     EXPECT_DOUBLE_EQ(opts.scale, clean.scale);
-    EXPECT_EQ(opts.jobs, clean.jobs);
     EXPECT_EQ(resolveJobs(0), cleanJobs);
     for (const char *name : env)
         unsetenv(name);

@@ -111,6 +111,32 @@ TEST(Mshr, ClearDropsEveryEntryAndFreesCapacity)
     EXPECT_EQ(waiters[0], 21);
 }
 
+TEST(Mshr, RecycledStorageStartsEmptyAndKeepsOrder)
+{
+    // A released list's storage returns to the file when the handle
+    // dies; the next primary reuses it without any old waiter, and
+    // the handle moved out of a scope recycles exactly once.
+    File m(2);
+    for (int round = 0; round < 4; ++round) {
+        const Vpn key = 100 + round;
+        EXPECT_TRUE(m.allocate(key, round * 10));
+        EXPECT_FALSE(m.allocate(key, round * 10 + 1));
+        EXPECT_FALSE(m.allocate(key, round * 10 + 2));
+        File::Released moved = m.release(key);
+        auto waiters = std::move(moved);
+        ASSERT_EQ(waiters.size(), 3u);
+        for (int i = 0; i < 3; ++i)
+            EXPECT_EQ(waiters[i], round * 10 + i);
+    }
+    EXPECT_TRUE(m.allocate(7, 70));
+    EXPECT_TRUE(m.allocate(8, 80));
+    EXPECT_EQ(m.waiters(7), 1u);
+    EXPECT_EQ(m.waiters(8), 1u);
+    EXPECT_EQ(m.release(8)[0], 80);
+    EXPECT_EQ(m.release(7)[0], 70);
+    EXPECT_EQ(m.size(), 0u);
+}
+
 TEST(MshrDeath, OverflowAndUnknownReleasePanic)
 {
     File m(1);

@@ -516,5 +516,29 @@ TEST(BenchCompare, GoogleBenchmarkAdapter)
         parseGoogleBenchmark(gbench, "BM_Nothing").has_value());
 }
 
+TEST(BenchCompare, GoogleBenchmarkAdapterTakesBestRepetition)
+{
+    // --benchmark_repetitions output: the best repetition wins, and
+    // the aggregates (whose names also match the prefix) are skipped.
+    const std::string gbench = R"({
+      "benchmarks": [
+        {"name": "BM_EventQueueDeepHeap/4096", "run_type": "iteration",
+         "items_per_second": 2.0e7},
+        {"name": "BM_EventQueueDeepHeap/4096", "run_type": "iteration",
+         "items_per_second": 2.6e7},
+        {"name": "BM_EventQueueDeepHeap/4096", "run_type": "iteration",
+         "items_per_second": 1.1e7},
+        {"name": "BM_EventQueueDeepHeap/4096_mean",
+         "run_type": "aggregate", "items_per_second": 9.9e7},
+        {"name": "BM_EventQueueDeepHeap/16384", "run_type": "iteration",
+         "items_per_second": 5.0e7}
+      ]
+    })";
+    const auto m =
+        parseGoogleBenchmark(gbench, "BM_EventQueueDeepHeap/4096");
+    ASSERT_TRUE(m.has_value());
+    EXPECT_DOUBLE_EQ(*m->get("eventsPerSec"), 2.6e7);
+}
+
 } // namespace
 } // namespace idyll

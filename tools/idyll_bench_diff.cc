@@ -38,8 +38,8 @@ const char *kUsage =
     "                           (default 10)\n"
     "  --threshold NAME=PCT     per-metric override (repeatable)\n"
     "  --skip NAME              ignore a metric entirely (repeatable)\n"
-    "  --from-gbench PREFIX     convert google-benchmark JSON (first\n"
-    "                           benchmark matching PREFIX) to a BENCH\n"
+    "  --from-gbench PREFIX     convert google-benchmark JSON (best\n"
+    "                           repetition matching PREFIX) to a BENCH\n"
     "                           artifact on stdout\n"
     "exit: 0 pass, 1 regression or missing metric, 2 usage/I-O\n";
 

@@ -113,11 +113,26 @@ TEST(Cli, ShardsFlag)
     EXPECT_FALSE(parseCli({"--shards"}).ok());      // missing value
     EXPECT_FALSE(parseCli({"--shards", "0"}).ok()); // 1 = serial
     EXPECT_FALSE(parseCli({"--shards", "few"}).ok());
+}
 
-    // A --shards run emits no advisory of its own.
-    CliParse sharded = parseCli({"--shards", "64"});
-    ASSERT_TRUE(sharded.ok());
-    EXPECT_TRUE(sharded.warning.empty()) << sharded.warning;
+TEST(Cli, ShardsTakePrecedenceOverJobs)
+{
+    // idyll_sim has no --jobs, so --shards alone sets a run's threads:
+    // no shard count is clamped or warned about, however large.
+    for (const auto &[flag, shards] :
+         {std::pair<const char *, std::uint32_t>{"2", 2u}, {"64", 64u}}) {
+        CliParse sharded = parseCli({"--shards", flag});
+        ASSERT_TRUE(sharded.ok()) << flag;
+        EXPECT_EQ(sharded.options->config.shards, shards);
+        EXPECT_TRUE(sharded.warning.empty()) << sharded.warning;
+    }
+
+    // The old composition (--shards with --jobs) is now a parse error
+    // that names --jobs, not a silent clamp.
+    const CliParse both = parseCli({"--shards", "2", "--jobs", "1"});
+    EXPECT_FALSE(both.ok());
+    EXPECT_NE(both.error.find("'--jobs'"), std::string::npos)
+        << both.error;
 }
 
 TEST(Cli, UsageDocumentsShardsWithoutJobs)
